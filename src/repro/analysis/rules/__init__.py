@@ -16,14 +16,12 @@ from repro.analysis.rules.float_equality import FloatEqualityRule
 from repro.analysis.rules.frozen_types import FrozenValueTypeRule
 from repro.analysis.rules.layering import ImportLayeringRule
 from repro.analysis.rules.locks import LockDisciplineRule
-from repro.analysis.rules.picklable import ExecutorPicklabilityRule
 from repro.analysis.rules.publish import PublishImmutabilityRule
 
 __all__ = [
     "DirectClockRule",
     "EpochDisciplineRule",
     "ExceptionDisciplineRule",
-    "ExecutorPicklabilityRule",
     "FloatEqualityRule",
     "FrozenValueTypeRule",
     "ImportLayeringRule",

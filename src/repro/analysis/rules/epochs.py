@@ -1,23 +1,16 @@
-"""R008 — epoch discipline: purge-only append hooks, equality-only tags.
+"""R008 — epoch discipline: epoch tags compare by equality only.
 
 The serving layer's invalidation protocol (service docstring, point 3)
 is built on two facts about epochs:
 
-1. **Append listeners retire, they never add.**  The subscribe hook
-   fires inside :meth:`IncrementalTara.append_batch` while the builder's
-   caller still holds partially published state; a listener that inserts
-   into the cache can resurrect an entry tagged with the *previous*
-   epoch one line after the purge dropped it, and the stale answer then
-   serves forever.  Purging is idempotent and safe; inserting is not.
-
-2. **Epoch tags are identities, not a timeline.**  An entry is valid
+1. **Epoch tags are identities, not a timeline.**  An entry is valid
    iff its tag *equals* the current epoch (or is ``EPOCH_FREE``).
    Ordering comparisons (``entry.epoch < epoch``) encode the accidental
    fact that epochs are monotonically increasing window counts — an
    assumption that breaks the moment epochs recycle or fork.  Equality
    survives any epoch scheme; ``<`` does not.
 
-3. **Epoch relationships live inside** :class:`repro.core.Snapshot`.
+2. **Epoch relationships live inside** :class:`repro.core.Snapshot`.
    Since PR 8 readers pin an immutable snapshot through a refcounted
    handle, so correctness never depends on comparing one epoch against
    another anywhere else: a comparison between *two* epoch values in
@@ -34,32 +27,17 @@ The rule therefore flags, within the serving layers:
 * any equality comparison (``==``, ``!=``) where two or more operands
   are epoch-valued (epoch-ish and not an ALL-UPPERCASE sentinel),
   unless the comparison sits lexically inside a class named
-  ``Snapshot`` — the one place epoch identity is allowed to matter;
-* any insert-like operation — a call to ``put``/``insert``/
-  ``setdefault``/``store`` or a subscript assignment — reachable from a
-  callback passed to ``subscribe(...)``, following ``self.`` method
-  calls and attribute-typed collaborators up to three hops.
+  ``Snapshot`` — the one place epoch identity is allowed to matter.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Set
 
 from repro.analysis.base import ProjectRule, RuleScope, register_rule
 from repro.analysis.findings import Finding
-from repro.analysis.project import (
-    ClassInfo,
-    FunctionNode,
-    ModuleInfo,
-    ProjectIndex,
-)
-
-#: Method names that add an entry to a keyed container.
-INSERT_CALLS = frozenset({"put", "insert", "setdefault", "store"})
-
-#: How many self-call / collaborator hops the listener walk follows.
-MAX_HOOK_DEPTH = 3
+from repro.analysis.project import ModuleInfo, ProjectIndex
 
 _ORDERING_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 _EQUALITY_OPS = (ast.Eq, ast.NotEq)
@@ -107,32 +85,19 @@ def _snapshot_class_nodes(tree: ast.Module) -> Set[int]:
     return inside
 
 
-def _self_attr(node: ast.expr) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
 @register_rule
 class EpochDisciplineRule(ProjectRule):
-    """Append hooks only purge; epoch tags compare only by equality.
+    """Epoch tags compare only by equality, and only inside Snapshot.
 
-    Insertions inside a subscribe callback race the epoch transition
-    they run under; ordering comparisons bake in monotonic epochs the
-    MVCC roadmap retires.  Both are one-line mistakes that pass every
-    single-threaded test.
+    Ordering comparisons bake in monotonic epochs the MVCC snapshots
+    retired; a one-line mistake that passes every single-threaded test.
     """
 
     rule_id = "R008"
-    title = "epoch tags are equality-only; append hooks purge-only"
+    title = "epoch tags are equality-only"
     fix_hint = (
-        "compare epochs with ==/!= (validity is identity, not age); "
-        "move insertions out of subscribe callbacks — listeners may "
-        "only purge/retire entries"
+        "compare epochs with ==/!= (validity is identity, not age) and "
+        "keep relationships between epochs inside class Snapshot"
     )
     scope = RuleScope(
         include=(
@@ -144,16 +109,12 @@ class EpochDisciplineRule(ProjectRule):
     )
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        """Flag ordering comparisons, then walk subscribe callbacks."""
+        """Flag epoch ordering and cross-epoch equality comparisons."""
         for module in sorted(
             index.modules.values(), key=lambda m: m.logical_path
         ):
             yield from self._check_comparisons(module)
-            yield from self._check_subscriptions(index, module)
 
-    # ------------------------------------------------------------------
-    # equality-only comparisons
-    # ------------------------------------------------------------------
     def _check_comparisons(self, module: ModuleInfo) -> Iterator[Finding]:
         snapshot_nodes = _snapshot_class_nodes(module.tree)
         for node in ast.walk(module.tree):
@@ -185,173 +146,3 @@ class EpochDisciplineRule(ProjectRule):
                     "instead of re-checking epochs (sentinel checks like "
                     "`epoch != EPOCH_FREE` remain fine)",
                 )
-
-    # ------------------------------------------------------------------
-    # subscribe callbacks
-    # ------------------------------------------------------------------
-    def _check_subscriptions(
-        self, index: ProjectIndex, module: ModuleInfo
-    ) -> Iterator[Finding]:
-        for owner, function in _functions_of(module):
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Call):
-                    continue
-                if (
-                    not isinstance(node.func, ast.Attribute)
-                    or node.func.attr != "subscribe"
-                    or not node.args
-                ):
-                    continue
-                callback = node.args[0]
-                yield from self._check_callback(
-                    index, module, owner, callback
-                )
-
-    def _check_callback(
-        self,
-        index: ProjectIndex,
-        module: ModuleInfo,
-        owner: Optional[ClassInfo],
-        callback: ast.expr,
-    ) -> Iterator[Finding]:
-        """Resolve one subscribe argument and walk what it runs."""
-        if isinstance(callback, ast.Lambda):
-            yield from self._walk_hook(
-                index, module, owner, callback.body, "lambda listener", 0, set()
-            )
-            return
-        attr = _self_attr(callback)
-        if attr is not None and owner is not None:
-            method = owner.methods.get(attr)
-            if method is not None:
-                yield from self._walk_hook(
-                    index,
-                    module,
-                    owner,
-                    method,
-                    f"{owner.name}.{attr}",
-                    0,
-                    set(),
-                )
-            return
-        if isinstance(callback, ast.Name):
-            resolved = index.resolve_function(module, callback.id)
-            if resolved is not None:
-                target_module, function = resolved
-                yield from self._walk_hook(
-                    index,
-                    target_module,
-                    None,
-                    function,
-                    callback.id,
-                    0,
-                    set(),
-                )
-
-    def _walk_hook(
-        self,
-        index: ProjectIndex,
-        module: ModuleInfo,
-        owner: Optional[ClassInfo],
-        body: ast.AST,
-        hook_name: str,
-        depth: int,
-        visited: Set[int],
-    ) -> Iterator[Finding]:
-        """Flag insert-like operations reachable from an append hook."""
-        if depth > MAX_HOOK_DEPTH or id(body) in visited:
-            return
-        visited.add(id(body))
-        for node in ast.walk(body):
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                if node.func.attr in INSERT_CALLS:
-                    yield self.project_finding(
-                        module,
-                        node,
-                        f"append listener {hook_name} inserts via "
-                        f".{node.func.attr}(...); subscribe callbacks may "
-                        "only purge — an insert here races the epoch "
-                        "transition it runs under",
-                    )
-                    continue
-                yield from self._walk_callee(
-                    index, module, owner, node.func, hook_name, depth, visited
-                )
-            targets = _store_targets(node)
-            for target in targets:
-                if isinstance(target, ast.Subscript):
-                    yield self.project_finding(
-                        module,
-                        target,
-                        f"append listener {hook_name} stores into a "
-                        "container by key; subscribe callbacks may only "
-                        "purge, never insert",
-                    )
-
-    def _walk_callee(
-        self,
-        index: ProjectIndex,
-        module: ModuleInfo,
-        owner: Optional[ClassInfo],
-        func: ast.Attribute,
-        hook_name: str,
-        depth: int,
-        visited: Set[int],
-    ) -> Iterator[Finding]:
-        """Follow ``self.m(...)`` and ``self.attr.m(...)`` one hop down."""
-        if owner is None:
-            return
-        attr = _self_attr(func)
-        if attr is not None:
-            method = owner.methods.get(attr)
-            if method is not None:
-                yield from self._walk_hook(
-                    index, module, owner, method, hook_name, depth + 1, visited
-                )
-            return
-        receiver = _self_attr(func.value)
-        if receiver is None:
-            return
-        class_name = owner.attr_classes.get(receiver)
-        if class_name is None:
-            return
-        collaborator = index.resolve_class(class_name)
-        if collaborator is None:
-            return
-        method = collaborator.methods.get(func.attr)
-        if method is None:
-            return
-        target_module = index.modules.get(collaborator.module)
-        if target_module is None:
-            return
-        yield from self._walk_hook(
-            index,
-            target_module,
-            collaborator,
-            method,
-            hook_name,
-            depth + 1,
-            visited,
-        )
-
-
-def _store_targets(node: ast.AST) -> List[ast.expr]:
-    """Assignment targets of *node*, for store-into-container checks."""
-    if isinstance(node, ast.Assign):
-        return list(node.targets)
-    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        return [node.target]
-    return []
-
-
-def _functions_of(
-    module: ModuleInfo,
-) -> Iterator[Tuple[Optional[ClassInfo], FunctionNode]]:
-    """Every (owning class or None, def) in one module."""
-    for function in module.functions.values():
-        yield None, function
-    for info in module.classes.values():
-        for method in info.methods.values():
-            yield info, method

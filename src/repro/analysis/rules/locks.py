@@ -23,8 +23,8 @@ Nested acquisition of two *distinct* locks must follow the single
 global order declared with a standalone ``lock-order=`` directive
 (qualified ``Class.attr`` names).  Nesting the runner can see —
 lexical ``with`` nesting and one call hop through the project index —
-is checked; acquisition chained through dynamic callbacks (e.g. an
-append listener) cannot be traced and is covered by the declaration
+is checked; acquisition chained through dynamic callbacks (e.g. a
+snapshot's retirement callback) cannot be traced and is covered by the declaration
 itself plus review.
 """
 

@@ -3,9 +3,8 @@
 Two sibling harnesses share one workload vocabulary
 (:mod:`repro.bench.workloads`):
 
-* :mod:`repro.bench.offline` builds the fixed dataset × miner ×
-  executor-strategy matrix and emits ``BENCH_offline.json``
-  (``repro-bench-offline/1``);
+* :mod:`repro.bench.offline` builds the fixed dataset × miner matrix
+  and emits ``BENCH_offline.json`` (``repro-bench-offline/2``);
 * :mod:`repro.bench.online` drives the serving layer's region-keyed
   cache through the E6/E7 query sweeps and emits ``BENCH_online.json``
   (``repro-bench-online/1``), verifying cached answers against uncached

@@ -4,20 +4,20 @@ Datasets, thresholds, and the shared ``--quick/--out/--repeat/--datasets``
 flags live in :mod:`repro.bench.workloads`, shared with the online
 serving harness (:mod:`repro.bench.online`).
 
-Runs a small fixed workload matrix (dataset × miner × executor
-strategy) through the complete offline build, records wall-clock and
-the Figure 9 per-task phase breakdown for every cell, verifies that
-every parallel build is bit-identical to its serial twin, and emits a
-machine-readable ``BENCH_offline.json`` that seeds the repository's
-performance trajectory (one file per commit that cares to record one;
-CI regenerates it on every PR).  docs/performance.md explains how to
-read the numbers and why they scale the way they do.
+Runs a small fixed workload matrix (dataset × miner) through the
+complete offline build, records wall-clock and the Figure 9 per-task
+phase breakdown for every cell, verifies that every miner builds a
+bit-identical knowledge base, and emits a machine-readable
+``BENCH_offline.json`` that seeds the repository's performance
+trajectory (one file per commit that cares to record one; CI
+regenerates it on every PR).  docs/performance.md explains how to read
+the numbers and why they scale the way they do.
 
-Schema of ``BENCH_offline.json`` (``repro-bench-offline/1``)
+Schema of ``BENCH_offline.json`` (``repro-bench-offline/2``)
 ============================================================
 
 ``schema``
-    The literal string ``"repro-bench-offline/1"``.  Consumers must
+    The literal string ``"repro-bench-offline/2"``.  Consumers must
     reject files whose schema string they do not recognise.
 ``version``
     The ``repro`` package version that produced the file.
@@ -28,30 +28,24 @@ Schema of ``BENCH_offline.json`` (``repro-bench-offline/1``)
     to judge whether two trajectory points are comparable.  No wall
     date is recorded (clock isolation, rule R005); the git history of
     the file carries the timeline.
-``workers`` / ``repeat``
-    The ``--workers`` cap (``null`` = all CPUs) and how many times each
-    cell was built (wall seconds are the best of the repeats).
+``repeat``
+    How many times each cell was built (wall seconds are the best of
+    the repeats).
 ``results``
     One object per matrix cell::
 
-        {"dataset", "transactions", "windows", "miner", "strategy",
-         "workers",            # resolved worker count for this cell
+        {"dataset", "transactions", "windows", "miner",
          "wall_seconds",       # best-of-``repeat`` full build wall time
          "phases",             # Figure 9 task -> seconds, of the best run
          "rules", "archive_entries", "archive_bytes",
          "fingerprint"}        # sha256 over catalog + archive bytes + EPS axes
 
-    Equal fingerprints are *enforced* before the file is written, along
-    two axes: every parallel build must match its serial twin, and every
-    miner's serial build must match the first miner's on the same
-    dataset (rule ids, archive bytes, and EPS axes are miner-independent
-    by construction — ``derive_rules`` processes itemsets in canonical
+    Equal fingerprints are *enforced* before the file is written: every
+    miner's build must match the first miner's on the same dataset
+    (rule ids, archive bytes, and EPS axes are miner-independent by
+    construction — ``derive_rules`` processes itemsets in canonical
     order).  A divergence aborts the bench with a nonzero exit instead
     of recording a lie.
-``speedups``
-    One object per parallel cell:
-    ``{"dataset", "miner", "strategy", "workers", "speedup_vs_serial"}``
-    where the speedup is serial best wall over the cell's best wall.
 """
 
 from __future__ import annotations
@@ -61,11 +55,10 @@ import hashlib
 import json
 import os
 import platform
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro._version import __version__
 from repro.common.errors import ValidationError
-from repro.common.executors import EXECUTOR_STRATEGIES, ExecutorConfig
 from repro.common.timing import stopwatch
 from repro.core import GenerationConfig, TaraKnowledgeBase, build_knowledge_base
 from repro.mining import MINERS
@@ -79,7 +72,7 @@ from repro.bench.workloads import (
     select_datasets,
 )
 
-SCHEMA = "repro-bench-offline/1"
+SCHEMA = "repro-bench-offline/2"
 DEFAULT_OUT = "BENCH_offline.json"
 
 
@@ -88,8 +81,8 @@ def knowledge_base_fingerprint(knowledge_base: TaraKnowledgeBase) -> str:
 
     Covers the interned rules in id order, every rule's encoded archive
     series, per-window sizes/bounds, and each EPS slice's distinct
-    support/confidence axes — the structures the serial-equivalence
-    guarantee promises are identical across executor strategies.
+    support/confidence axes — the structures every miner must build
+    identically.
     """
     digest = hashlib.sha256()
     catalog = knowledge_base.catalog
@@ -118,22 +111,14 @@ def knowledge_base_fingerprint(knowledge_base: TaraKnowledgeBase) -> str:
     return digest.hexdigest()
 
 
-def _run_cell(
-    dataset: str,
-    miner: str,
-    strategy: str,
-    workers: Optional[int],
-    repeat: int,
-) -> Dict[str, Any]:
+def _run_cell(dataset: str, miner: str, repeat: int) -> Dict[str, Any]:
     """Build one matrix cell ``repeat`` times; keep the fastest run."""
     windows = _windows(dataset)
     _, _, min_support, min_confidence = _WORKLOADS[dataset]
-    executor = ExecutorConfig(strategy=strategy, max_workers=workers)
     config = GenerationConfig(
         min_support=min_support,
         min_confidence=min_confidence,
         miner=miner,
-        executor=executor,
     )
     best_seconds = None
     best_kb = None
@@ -149,8 +134,6 @@ def _run_cell(
         "transactions": len(_database(dataset)),
         "windows": windows.window_count,
         "miner": miner,
-        "strategy": strategy,
-        "workers": executor.resolved_workers(windows.window_count),
         "wall_seconds": best_seconds,
         "phases": best_kb.timer.breakdown(),
         "rules": len(best_kb.catalog),
@@ -161,70 +144,34 @@ def _run_cell(
 
 
 def run_matrix(
-    datasets: Sequence[str],
-    miners: Sequence[str],
-    strategies: Sequence[str],
-    workers: Optional[int],
-    repeat: int,
-) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
-    """Run the workload matrix; returns (results, speedups).
+    datasets: Sequence[str], miners: Sequence[str], repeat: int
+) -> List[Dict[str, Any]]:
+    """Run the workload matrix; returns one result per cell.
 
-    Raises :class:`ValidationError` when any parallel cell's fingerprint
-    deviates from its serial twin, or when two miners' serial builds of
-    the same dataset disagree — the bench refuses to record numbers for
-    a build that broke serial or cross-miner equivalence.
+    Raises :class:`ValidationError` when two miners' builds of the same
+    dataset disagree — the bench refuses to record numbers for a build
+    that broke cross-miner equivalence.
     """
     results: List[Dict[str, Any]] = []
-    speedups: List[Dict[str, Any]] = []
     for dataset in datasets:
-        reference_serial: Optional[Dict[str, Any]] = None
+        reference: Optional[Dict[str, Any]] = None
         for miner in miners:
-            serial_cell: Optional[Dict[str, Any]] = None
-            for strategy in strategies:
-                cell = _run_cell(dataset, miner, strategy, workers, repeat)
-                results.append(cell)
-                print(
-                    f"  {dataset:<8} {miner:<9} {strategy:<8} "
-                    f"workers={cell['workers']}  "
-                    f"wall={cell['wall_seconds'] * 1e3:9.1f} ms  "
-                    f"rules={cell['rules']}"
-                )
-                if strategy == "serial":
-                    serial_cell = cell
-                    continue
-                if serial_cell is None:
-                    continue
-                if cell["fingerprint"] != serial_cell["fingerprint"]:
-                    raise ValidationError(
-                        f"{strategy} build of {dataset}/{miner} diverged "
-                        f"from serial (fingerprint mismatch) — refusing to "
-                        f"record benchmark results"
-                    )
-                speedup = serial_cell["wall_seconds"] / cell["wall_seconds"]
-                speedups.append(
-                    {
-                        "dataset": dataset,
-                        "miner": miner,
-                        "strategy": strategy,
-                        "workers": cell["workers"],
-                        "speedup_vs_serial": speedup,
-                    }
-                )
-                print(
-                    f"  {'':<8} {'':<9} {strategy:<8} speedup vs serial: "
-                    f"{speedup:.2f}x"
-                )
-            if serial_cell is None:
-                continue
-            if reference_serial is None:
-                reference_serial = serial_cell
-            elif serial_cell["fingerprint"] != reference_serial["fingerprint"]:
+            cell = _run_cell(dataset, miner, repeat)
+            results.append(cell)
+            print(
+                f"  {dataset:<8} {miner:<9} "
+                f"wall={cell['wall_seconds'] * 1e3:9.1f} ms  "
+                f"rules={cell['rules']}"
+            )
+            if reference is None:
+                reference = cell
+            elif cell["fingerprint"] != reference["fingerprint"]:
                 raise ValidationError(
                     f"{miner} build of {dataset} diverged from "
-                    f"{reference_serial['miner']} (fingerprint mismatch) — "
+                    f"{reference['miner']} (fingerprint mismatch) — "
                     f"refusing to record benchmark results"
                 )
-    return results, speedups
+    return results
 
 
 def phase_summary_markdown(results: Sequence[Dict[str, Any]]) -> str:
@@ -245,17 +192,16 @@ def phase_summary_markdown(results: Sequence[Dict[str, Any]]) -> str:
     lines = [
         "## repro bench — per-phase breakdown (best-of-repeat, seconds)",
         "",
-        "| dataset | miner | strategy | wall | "
+        "| dataset | miner | wall | "
         + " | ".join(phase_names)
         + " |",
-        "|---|---|---|---:|" + "---:|" * len(phase_names),
+        "|---|---|---:|" + "---:|" * len(phase_names),
     ]
     for cell in results:
         phases = cell["phases"]
         row = [
             cell["dataset"],
             cell["miner"],
-            cell["strategy"],
             f"{cell['wall_seconds']:.4f}",
         ]
         row.extend(
@@ -265,8 +211,8 @@ def phase_summary_markdown(results: Sequence[Dict[str, Any]]) -> str:
         lines.append("| " + " | ".join(row) + " |")
     lines.append("")
     lines.append(
-        "All fingerprints verified equal across executor strategies and "
-        "miners before these numbers were recorded."
+        "All fingerprints verified equal across miners before these "
+        "numbers were recorded."
     )
     return "\n".join(lines) + "\n"
 
@@ -282,19 +228,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
             "append a Markdown per-phase breakdown to PATH "
             "(CI passes $GITHUB_STEP_SUMMARY)"
         ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker cap for parallel strategies (default: all CPUs)",
-    )
-    parser.add_argument(
-        "--strategies",
-        nargs="+",
-        choices=EXECUTOR_STRATEGIES,
-        default=list(EXECUTOR_STRATEGIES),
-        help="executor strategies to benchmark (default: all three)",
     )
     parser.add_argument(
         "--miners",
@@ -316,13 +249,10 @@ def run_bench(args: argparse.Namespace) -> int:
         miners = QUICK_MINERS if args.quick else FULL_MINERS
     print(
         f"repro bench ({'quick' if args.quick else 'full'} matrix): "
-        f"{len(datasets)} dataset(s) x {len(miners)} miner(s) x "
-        f"{len(args.strategies)} strategies, repeat={args.repeat}, "
-        f"cpus={os.cpu_count()}"
+        f"{len(datasets)} dataset(s) x {len(miners)} miner(s), "
+        f"repeat={args.repeat}, cpus={os.cpu_count()}"
     )
-    results, speedups = run_matrix(
-        datasets, miners, args.strategies, args.workers, args.repeat
-    )
+    results = run_matrix(datasets, miners, args.repeat)
     payload = {
         "schema": SCHEMA,
         "version": __version__,
@@ -333,10 +263,8 @@ def run_bench(args: argparse.Namespace) -> int:
             "implementation": platform.python_implementation(),
             "cpu_count": os.cpu_count(),
         },
-        "workers": args.workers,
         "repeat": args.repeat,
         "results": results,
-        "speedups": speedups,
     }
     if args.out != "-":
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -53,7 +53,6 @@ import resource
 import subprocess
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -283,13 +282,9 @@ def run_persist_matrix(
         with tempfile.TemporaryDirectory(prefix="bench-persist-") as tmp:
             v1_path = Path(tmp) / "kb.v1.json"
             v2_path = Path(tmp) / "kb.tara2"
-            with warnings.catch_warnings():
-                # Writing v1 here is the point of the comparison, not a
-                # use of the deprecated default.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                v1_bytes = save_knowledge_base(
-                    knowledge_base, v1_path, format_version=1
-                )
+            v1_bytes = save_knowledge_base(
+                knowledge_base, v1_path, format_version=1
+            )
             v2_bytes = save_knowledge_base(
                 knowledge_base, v2_path, shard_size=shard_size
             )

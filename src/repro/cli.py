@@ -7,11 +7,10 @@ Covers the full workflow without writing Python:
     transactions, faers as an ADR-report TSV).
 ``repro build``
     Run the offline phase over a FIMI file and save the knowledge base
-    (``--format 2`` segmented container by default; ``--format 1`` for
-    the deprecated eager JSON envelope).
+    as a v2 segmented container.
 ``repro convert``
-    Rewrite a saved knowledge base into another format (v1 JSON ->
-    v2 segmented container, or back for old tooling).
+    Rewrite a saved knowledge base (v1 JSON or v2) as a v2 segmented
+    container.
 ``repro kb-info``
     Inspect a saved knowledge base without materializing it: format
     version, shard layout, rule/window counts, on-disk vs decoded
@@ -27,8 +26,8 @@ Covers the full workflow without writing Python:
 ``repro lint``
     Run the AST-based invariant checker over the source tree.
 ``repro bench``
-    Offline-phase perf harness: build the fixed workload matrix under
-    every executor strategy and emit ``BENCH_offline.json``.
+    Offline-phase perf harness: build the fixed dataset x miner matrix
+    and emit ``BENCH_offline.json``.
 ``repro bench-online``
     Serving-layer perf harness: drive the region-keyed query cache
     through the E6/E7 sweeps and emit ``BENCH_online.json``.
@@ -53,9 +52,7 @@ lazily loaded v2 container.
 
 Query thresholds are spelled ``--minsupp`` / ``--minconf`` uniformly
 across ``mine``, ``recommend``, and ``compare`` (``compare`` adds
-``--second-minsupp`` / ``--second-minconf``); the original spellings
-(``--min-support``, ``--first SUPP CONF``, ...) keep working as hidden
-aliases but emit one :class:`DeprecationWarning` per process.
+``--second-minsupp`` / ``--second-minconf``); all are required.
 
 Every subcommand prints plain text to stdout; exit code 0 on success,
 2 on argument errors (argparse convention), 1 on domain errors with the
@@ -85,7 +82,6 @@ from repro.bench import (
     run_bench_persist,
     run_bench_serve,
 )
-from repro.common.deprecation import warn_deprecated
 from repro.common.errors import DataFormatError, ReproError
 from repro.core import (
     CompareQuery,
@@ -129,33 +125,6 @@ from repro.serve import (
 )
 
 
-class _DeprecatedAlias(argparse.Action):
-    """A hidden legacy flag spelling: warn once per process, then store.
-
-    argparse cannot otherwise tell which spelling of a shared ``dest``
-    the user typed; routing the legacy option strings through this
-    action is what lets the deprecation fire only for the old ones.
-    """
-
-    def __init__(self, *args: object, preferred: str = "", **kwargs: object) -> None:
-        self._preferred = preferred
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-
-    def __call__(
-        self,
-        parser: argparse.ArgumentParser,
-        namespace: argparse.Namespace,
-        values: object,
-        option_string: Optional[str] = None,
-    ) -> None:
-        spelling = option_string or self.option_strings[0]
-        warn_deprecated(
-            f"cli.{spelling}",
-            f"{spelling} is deprecated: use {self._preferred}",
-        )
-        setattr(namespace, self.dest, values)
-
-
 def _parse_memory_budget(text: str) -> int:
     """Parse a byte count with an optional ``k``/``M``/``G`` suffix."""
     raw = text.strip()
@@ -187,33 +156,17 @@ def _add_memory_budget_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_threshold_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the unified ``--minsupp`` / ``--minconf`` query flags.
-
-    The historical ``--min-support`` / ``--min-confidence`` spellings
-    stay accepted as hidden aliases (same destination, mutually
-    exclusive with the new spelling) so existing scripts keep working —
-    at the price of one :class:`DeprecationWarning` per process.
-    """
-    support = parser.add_mutually_exclusive_group(required=True)
-    support.add_argument(
-        "--minsupp", dest="min_support", type=float,
-        help="query minimum support",
+def _add_threshold_arguments(
+    parser: argparse.ArgumentParser, prefix: str = "", label: str = "query"
+) -> None:
+    """Install one setting's required ``--[prefix]minsupp/minconf`` flags."""
+    parser.add_argument(
+        f"--{prefix}minsupp", type=float, required=True,
+        help=f"{label} minimum support",
     )
-    support.add_argument(
-        "--min-support", dest="min_support", type=float,
-        action=_DeprecatedAlias, preferred="--minsupp",
-        help=argparse.SUPPRESS,
-    )
-    confidence = parser.add_mutually_exclusive_group(required=True)
-    confidence.add_argument(
-        "--minconf", dest="min_confidence", type=float,
-        help="query minimum confidence",
-    )
-    confidence.add_argument(
-        "--min-confidence", dest="min_confidence", type=float,
-        action=_DeprecatedAlias, preferred="--minconf",
-        help=argparse.SUPPRESS,
+    parser.add_argument(
+        f"--{prefix}minconf", type=float, required=True,
+        help=f"{label} minimum confidence",
     )
 
 
@@ -253,24 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 "vertical"))
     build.add_argument("--item-index", action="store_true",
                        help="build the TARA-S per-region item index")
-    build.add_argument("--format", type=int, dest="format_version",
-                       choices=(FORMAT_VERSION, DEFAULT_FORMAT_VERSION),
-                       default=DEFAULT_FORMAT_VERSION,
-                       help="knowledge-base file format: 2 = segmented "
-                            "container (default), 1 = deprecated eager JSON")
     build.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE,
                        help=f"rules per v2 shard (default: {DEFAULT_SHARD_SIZE})")
 
     convert = commands.add_parser(
-        "convert", help="rewrite a saved knowledge base in another format"
+        "convert", help="rewrite a saved knowledge base as a v2 container"
     )
     convert.add_argument("src", help="existing knowledge-base path (v1 or v2)")
     convert.add_argument("dst", help="output path")
-    convert.add_argument("--format", type=int, dest="format_version",
-                         choices=(FORMAT_VERSION, DEFAULT_FORMAT_VERSION),
-                         default=DEFAULT_FORMAT_VERSION,
-                         help="target format (default: 2, the segmented "
-                              "container)")
     convert.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE,
                          help=f"rules per v2 shard (default: {DEFAULT_SHARD_SIZE})")
     _add_memory_budget_argument(convert)
@@ -302,23 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--kb", required=True)
     _add_memory_budget_argument(compare)
-    compare.add_argument("--minsupp", type=float, default=None,
-                         help="first setting's minimum support")
-    compare.add_argument("--minconf", type=float, default=None,
-                         help="first setting's minimum confidence")
-    compare.add_argument("--second-minsupp", type=float, default=None,
-                         help="second setting's minimum support")
-    compare.add_argument("--second-minconf", type=float, default=None,
-                         help="second setting's minimum confidence")
-    # Hidden legacy aliases: --first/--second SUPP CONF pairs.
-    compare.add_argument("--first", nargs=2, type=float, default=None,
-                         action=_DeprecatedAlias,
-                         preferred="--minsupp/--minconf",
-                         metavar=("SUPP", "CONF"), help=argparse.SUPPRESS)
-    compare.add_argument("--second", nargs=2, type=float, default=None,
-                         action=_DeprecatedAlias,
-                         preferred="--second-minsupp/--second-minconf",
-                         metavar=("SUPP", "CONF"), help=argparse.SUPPRESS)
+    _add_threshold_arguments(compare, label="first setting's")
+    _add_threshold_arguments(compare, "second-", "second setting's")
     compare.add_argument("--mode", choices=("single", "exact"), default="single")
 
     maras = commands.add_parser(
@@ -442,15 +370,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
     )
     knowledge_base = build_knowledge_base(windows, config)
     written = save_knowledge_base(
-        knowledge_base, args.out,
-        format_version=args.format_version, shard_size=args.shard_size,
+        knowledge_base, args.out, shard_size=args.shard_size
     )
     print(
         f"built {knowledge_base.window_count} windows, "
         f"{len(knowledge_base.catalog)} rules, "
         f"{knowledge_base.archive.entry_count()} archive entries; "
         f"saved {written} bytes to {args.out} "
-        f"(format v{args.format_version})"
+        f"(format v{DEFAULT_FORMAT_VERSION})"
     )
     print(knowledge_base.timer.report("offline phase"))
     return 0
@@ -473,8 +400,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     )
     try:
         written = save_knowledge_base(
-            knowledge_base, args.dst,
-            format_version=args.format_version, shard_size=args.shard_size,
+            knowledge_base, args.dst, shard_size=args.shard_size
         )
     finally:
         if isinstance(knowledge_base, LazyTaraKnowledgeBase):
@@ -482,7 +408,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     src_bytes = Path(args.src).stat().st_size
     print(
         f"converted {args.src} (format v{src_format}, {src_bytes} bytes) "
-        f"-> {args.dst} (format v{args.format_version}, {written} bytes)"
+        f"-> {args.dst} (format v{DEFAULT_FORMAT_VERSION}, {written} bytes)"
     )
     return 0
 
@@ -544,8 +470,7 @@ def _kb_info_v1(path: Path) -> int:
     print(f"  series on disk   {encoded_b85:>14,} bytes (base85; "
           f"{encoded:,} raw)")
     print(f"  decoded estimate {decoded:>14,} bytes, all resident on load")
-    print("  v1 writes are deprecated; migrate with: "
-          f"repro convert {path} {path}.tara2")
+    print(f"  migrate to v2 with: repro convert {path} {path}.tara2")
     return 0
 
 
@@ -559,7 +484,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     window = (
         args.window if args.window is not None else knowledge_base.window_count - 1
     )
-    setting = ParameterSetting(args.min_support, args.min_confidence)
+    setting = ParameterSetting(args.minsupp, args.minconf)
     mined = explorer.mine(setting, PeriodSpec.single(window))[window]
     mined.sort(key=lambda rule: (-rule.confidence, -rule.support))
     print(f"{len(mined)} rules in window {window} at "
@@ -577,7 +502,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         args.kb, memory_budget=args.memory_budget
     )
     explorer = TaraExplorer(knowledge_base)
-    setting = ParameterSetting(args.min_support, args.min_confidence)
+    setting = ParameterSetting(args.minsupp, args.minconf)
     recommendation = explorer.execute(
         RecommendQuery(setting=setting, window=args.window)
     )
@@ -598,46 +523,9 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_compare_setting(
-    pair: Optional[Sequence[float]],
-    minsupp: Optional[float],
-    minconf: Optional[float],
-    label: str,
-) -> ParameterSetting:
-    """Resolve one compare setting from the new or legacy spelling.
-
-    Raises :class:`SystemExit` with code 2 (argparse's usage-error
-    convention) when the spellings are mixed, incomplete, or missing.
-    """
-    prefix = "" if label == "first" else "second-"
-    new_given = minsupp is not None or minconf is not None
-    if pair is not None and new_given:
-        print(
-            f"error: give the {label} setting either via "
-            f"--{prefix}minsupp/--{prefix}minconf or via the legacy "
-            f"--{label} pair, not both",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    if pair is not None:
-        return ParameterSetting(*pair)
-    if minsupp is None or minconf is None:
-        print(
-            f"error: the {label} setting needs both --{prefix}minsupp "
-            f"and --{prefix}minconf",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    return ParameterSetting(minsupp, minconf)
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
-    first = _resolve_compare_setting(
-        args.first, args.minsupp, args.minconf, "first"
-    )
-    second = _resolve_compare_setting(
-        args.second, args.second_minsupp, args.second_minconf, "second"
-    )
+    first = ParameterSetting(args.minsupp, args.minconf)
+    second = ParameterSetting(args.second_minsupp, args.second_minconf)
     knowledge_base = load_knowledge_base(
         args.kb, memory_budget=args.memory_budget
     )

@@ -1,4 +1,4 @@
-"""Cross-cutting utilities: errors, validation, timing, codecs, executors."""
+"""Cross-cutting utilities: errors, validation, timing, codecs."""
 
 from repro.common.errors import (
     CodecError,
@@ -10,26 +10,16 @@ from repro.common.errors import (
     UnknownWindowError,
     ValidationError,
 )
-from repro.common.executors import (
-    EXECUTOR_STRATEGIES,
-    ExecutorConfig,
-    available_cpus,
-    run_ordered,
-)
 from repro.common.gcscope import paused_gc
 
 __all__ = [
     "CodecError",
     "DataFormatError",
-    "EXECUTOR_STRATEGIES",
-    "ExecutorConfig",
     "NotBuiltError",
     "QueryError",
     "ReproError",
     "UnknownRuleError",
     "UnknownWindowError",
     "ValidationError",
-    "available_cpus",
     "paused_gc",
-    "run_ordered",
 ]

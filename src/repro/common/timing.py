@@ -12,9 +12,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Set
-
-from repro.common.errors import ValidationError
+from typing import Dict, Iterator, List
 
 
 # Mutable by design: a timer accumulates durations in place and is never
@@ -26,36 +24,22 @@ class PhaseTimer:
     Phases accumulate: timing the same name twice adds the durations,
     which is the behaviour wanted when the same task runs once per
     window.
-
-    A phase may be recorded as *informational*: it is reported but
-    excluded from :attr:`total`.  The parallel offline build uses this
-    to attribute pool wall-clock time (which overlaps the per-task
-    durations measured inside the workers) without double-counting it
-    in the Figure 9 task stack — see docs/performance.md.
     """
 
     totals: Dict[str, float] = field(default_factory=dict)
     counts: Dict[str, int] = field(default_factory=dict)
     _order: List[str] = field(default_factory=list)
-    _informational: Set[str] = field(default_factory=set)
 
-    def _register(self, name: str, informational: bool) -> None:
+    def _register(self, name: str) -> None:
         if name not in self.totals:
             self.totals[name] = 0.0
             self.counts[name] = 0
             self._order.append(name)
-            if informational:
-                self._informational.add(name)
-        elif informational != (name in self._informational):
-            raise ValidationError(
-                f"phase {name!r} already recorded as "
-                f"{'informational' if name in self._informational else 'counted'}"
-            )
 
     @contextmanager
-    def phase(self, name: str, *, informational: bool = False) -> Iterator[None]:
+    def phase(self, name: str) -> Iterator[None]:
         """Context manager measuring one execution of the phase *name*."""
-        self._register(name, informational)
+        self._register(name)
         start = time.perf_counter()
         try:
             yield
@@ -64,63 +48,39 @@ class PhaseTimer:
             self.totals[name] += elapsed
             self.counts[name] += 1
 
-    def add(self, name: str, seconds: float, *, informational: bool = False) -> None:
+    def add(self, name: str, seconds: float) -> None:
         """Record *seconds* against phase *name* without a context manager."""
-        self._register(name, informational)
+        self._register(name)
         self.totals[name] += seconds
         self.counts[name] += 1
 
-    def is_informational(self, name: str) -> bool:
-        """True when *name* is reported but excluded from :attr:`total`."""
-        return name in self._informational
-
     @property
     def total(self) -> float:
-        """Sum of all counted (non-informational) phase durations."""
-        return sum(
-            seconds
-            for name, seconds in self.totals.items()
-            if name not in self._informational
-        )
+        """Sum of all phase durations."""
+        return sum(self.totals.values())
 
     def merge(self, other: "PhaseTimer") -> None:
         """Fold another timer's phases into this one (used across windows)."""
         for name in other._order:
-            self.add(
-                name,
-                other.totals[name],
-                informational=name in other._informational,
-            )
-            # ``add`` counted one execution; fix up to the real count.
-            self.counts[name] += other.counts[name] - 1
+            self._register(name)
+            self.totals[name] += other.totals[name]
+            self.counts[name] += other.counts[name]
 
     def breakdown(self) -> Dict[str, float]:
         """Phase name -> seconds, in first-recorded order."""
         return {name: self.totals[name] for name in self._order}
 
     def report(self, title: str = "phase breakdown") -> str:
-        """Human-readable multi-line report of the breakdown.
-
-        Informational phases are flagged with ``*`` and excluded from
-        the total (they overlap the counted phases' durations).
-        """
+        """Human-readable multi-line report of the breakdown."""
         lines = [title]
         width = max((len(name) for name in self._order), default=0)
         for name in self._order:
-            if name in self._informational:
-                lines.append(
-                    f"  {name.ljust(width)}  {self.totals[name] * 1e3:10.3f} ms"
-                    f"  (* wall, n={self.counts[name]})"
-                )
-                continue
             share = self.totals[name] / self.total if self.total else 0.0
             lines.append(
                 f"  {name.ljust(width)}  {self.totals[name] * 1e3:10.3f} ms"
                 f"  ({share:6.1%}, n={self.counts[name]})"
             )
         lines.append(f"  {'total'.ljust(width)}  {self.total * 1e3:10.3f} ms")
-        if self._informational:
-            lines.append("  (* overlaps counted phases; excluded from total)")
         return "\n".join(lines)
 
 

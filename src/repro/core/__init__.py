@@ -10,12 +10,9 @@ views that readers pin through :class:`SnapshotHandle`.
 from repro.core.archive import RolledUpMeasure, TarArchive, WindowMeasure
 from repro.core.builder import (
     GenerationConfig,
-    MinedWindow,
     TaraBuilder,
     TaraKnowledgeBase,
-    WindowTask,
     build_knowledge_base,
-    mine_window_task,
 )
 from repro.core.explorer import ExplorerAnswer, TaraExplorer
 from repro.core.incremental import IncrementalTara
@@ -62,7 +59,6 @@ __all__ = [
     "Location",
     "MatchMode",
     "MinedRule",
-    "MinedWindow",
     "ParameterSetting",
     "Recommendation",
     "RecommendQuery",
@@ -85,11 +81,9 @@ __all__ = [
     "WindowDiff",
     "WindowMeasure",
     "WindowSlice",
-    "WindowTask",
     "CountLocation",
     "build_knowledge_base",
     "count_axes",
-    "mine_window_task",
     "group_by_counts",
     "group_by_location",
     "load_knowledge_base",

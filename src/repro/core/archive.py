@@ -403,8 +403,7 @@ class TarArchive:
 
         Sealed rules return their stored blob; staged rules are encoded
         on the fly.  Used by the persistence layer's callers and by the
-        determinism tests, which compare serial vs. parallel builds at
-        byte level.
+        determinism tests, which compare builds at byte level.
         """
         blob = self._sealed.get(rule_id)
         if blob is not None:

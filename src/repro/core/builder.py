@@ -12,30 +12,19 @@ basic window it
    :class:`~repro.core.regions.WindowSlice` of the EPS index,
 
 timing each task separately so the Figure 9 preprocessing breakdown can
-be reported per task.
-
-Steps 1–2 are independent per window, so when
-:attr:`GenerationConfig.executor` selects a parallel strategy the
-builder ships them to workers as picklable :class:`WindowTask` units and
-*merges* the mined results back **in window order**: rules are interned
-into the shared catalog in each worker's discovery order, which assigns
-the exact ids the serial build would have assigned, so the parallel
-output is bit-identical to the serial one (sealed archive bytes and
-region decompositions included — property-tested).  Steps 3–4 stay in
-the merge because the archive append and the slice list are ordered,
-cheap, and not worth shipping.  docs/performance.md derives the full
-performance model.
+be reported per task.  Windows are mined one after another in window
+order, each exactly once (the iPARAS model); docs/performance.md records
+why no parallel build is offered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import NotBuiltError, UnknownWindowError, ValidationError
-from repro.common.executors import ExecutorConfig, run_ordered
 from repro.common.gcscope import paused_gc
-from repro.common.timing import PhaseTimer, stopwatch
+from repro.common.timing import PhaseTimer
 from repro.core.archive import TarArchive
 from repro.core.locations import group_by_counts
 from repro.core.regions import ParameterSetting, WindowSlice
@@ -52,12 +41,6 @@ PHASE_ITEMSETS = "frequent itemset generation"
 PHASE_RULES = "rule derivation"
 PHASE_ARCHIVE = "archival"
 PHASE_EPS = "EPS index update"
-# Parallel-build attribution phases (docs/performance.md).  PHASE_MERGE
-# is counted work the parallel path adds (rule re-interning);
-# PHASE_WORKERS is informational pool wall-clock that *overlaps* the
-# per-task itemset/rule durations measured inside the workers.
-PHASE_MERGE = "parallel result merge"
-PHASE_WORKERS = "worker pool wall-clock"
 
 
 @dataclass(frozen=True)
@@ -76,10 +59,6 @@ class GenerationConfig:
         build_item_index: build the TARA-S per-location item index
             (enables content queries, costs extra build time and space).
         max_itemset_size: optional cap on mined itemset cardinality.
-        executor: how multi-window builds execute per-window mining
-            (serial by default; see :mod:`repro.common.executors`).
-            A build-time knob only — it never changes the produced
-            knowledge base and is not persisted with it.
     """
 
     min_support: float
@@ -87,7 +66,6 @@ class GenerationConfig:
     miner: str = "vertical"
     build_item_index: bool = False
     max_itemset_size: Optional[int] = None
-    executor: ExecutorConfig = ExecutorConfig()
 
     def __post_init__(self) -> None:
         if self.miner not in MINERS:
@@ -173,57 +151,6 @@ class TaraKnowledgeBase:
         )
 
 
-@dataclass(frozen=True)
-class WindowTask:
-    """A picklable per-window work unit for the parallel offline build.
-
-    Carries everything a worker needs to mine one window in isolation;
-    deliberately excludes the shared catalog/archive so workers stay
-    independent and cheap to ship to a process pool.
-    """
-
-    transactions: Tuple[Transaction, ...]
-    miner: str
-    min_support: float
-    min_confidence: float
-    max_itemset_size: Optional[int]
-
-
-@dataclass(frozen=True)
-class MinedWindow:
-    """One worker's result: a window mined against a *local* catalog.
-
-    ``scored`` is ordered by local catalog id, which — because the
-    worker starts from an empty catalog and a rule is derived at most
-    once per window — equals the derivation discovery order.  The merge
-    re-interns the rules into the shared catalog in exactly that order,
-    reproducing the ids a serial build would have assigned.
-    """
-
-    window_size: int
-    scored: Tuple[ScoredRule, ...]
-    itemset_seconds: float
-    rule_seconds: float
-
-
-def mine_window_task(task: WindowTask) -> MinedWindow:
-    """Execute one :class:`WindowTask` (module-level: process-picklable)."""
-    with stopwatch() as mine_clock:
-        itemsets = MINERS[task.miner](
-            list(task.transactions),
-            task.min_support,
-            max_size=task.max_itemset_size,
-        )
-    with stopwatch() as rule_clock:
-        scored = derive_rules(itemsets, task.min_confidence)
-    return MinedWindow(
-        window_size=len(task.transactions),
-        scored=tuple(scored),
-        itemset_seconds=mine_clock.seconds,
-        rule_seconds=rule_clock.seconds,
-    )
-
-
 class TaraBuilder:
     """Builds a :class:`TaraKnowledgeBase` window by window."""
 
@@ -252,37 +179,12 @@ class TaraBuilder:
     ) -> List[WindowSlice]:
         """Incorporate several new windows, one slice per batch, in order.
 
-        Under the serial strategy this is exactly a loop over
-        :meth:`add_window`.  Under a parallel strategy the per-window
-        mining runs in a worker pool and the results are merged back in
-        window order; the produced knowledge base is identical either
-        way (see the module docstring).
-
         The whole incorporation runs under :func:`paused_gc`: everything
         the build allocates is retained in the knowledge base, so
         young-generation scans during the bulk phase are pure overhead.
         """
         with paused_gc():
-            if not self.config.executor.is_parallel or len(batches) == 0:
-                return [self.add_window(knowledge_base, batch) for batch in batches]
-            tasks = [
-                WindowTask(
-                    transactions=tuple(batch),
-                    miner=self.config.miner,
-                    min_support=self.config.min_support,
-                    min_confidence=self.config.min_confidence,
-                    max_itemset_size=self.config.max_itemset_size,
-                )
-                for batch in batches
-            ]
-            with stopwatch() as pool_clock:
-                mined = run_ordered(mine_window_task, tasks, self.config.executor)
-            knowledge_base.timer.add(
-                PHASE_WORKERS, pool_clock.seconds, informational=True
-            )
-            return [
-                self.merge_mined_window(knowledge_base, result) for result in mined
-            ]
+            return [self.add_window(knowledge_base, batch) for batch in batches]
 
     def add_window(
         self,
@@ -298,6 +200,8 @@ class TaraBuilder:
         """
         config = self.config
         timer = knowledge_base.timer
+        window = len(knowledge_base.slices)
+        window_size = len(transactions)
 
         with paused_gc():
             with timer.phase(PHASE_ITEMSETS):
@@ -314,74 +218,38 @@ class TaraBuilder:
                     catalog=knowledge_base.catalog,
                 )
 
-            return self._index_window(knowledge_base, len(transactions), scored)
+            with timer.phase(PHASE_ARCHIVE):
+                # A rule missing from this window was pruned either because
+                # its itemset fell below the support threshold (count <
+                # ceil(supp_g * n)) or because its confidence fell below
+                # conf_g (count < conf_g * antecedent <= conf_g * n).  The
+                # exclusive bound on an unarchived rule's count is therefore
+                # the max of the two ceilings — this is what makes the
+                # roll-up approximation bounds sound.
+                bound = max(
+                    min_count_for(config.min_support, window_size),
+                    min_count_for(config.min_confidence, window_size),
+                )
+                knowledge_base.archive.begin_window(window_size, bound)
+                knowledge_base.archive.record(window, scored)
 
-    def merge_mined_window(
-        self,
-        knowledge_base: TaraKnowledgeBase,
-        mined: MinedWindow,
-    ) -> WindowSlice:
-        """Fold one worker result into the knowledge base, serial-equivalently.
+            with timer.phase(PHASE_EPS):
+                groups = group_by_counts(scored)
+                item_source = self._item_index_source(knowledge_base, scored)
+                window_slice = WindowSlice.from_count_groups(
+                    window,
+                    window_size,
+                    groups,
+                    generation_setting=config.setting,
+                    item_index_source=item_source,
+                )
 
-        Re-interns the worker's locally catalogued rules into the shared
-        catalog in local-id (= discovery) order — the order a serial
-        build would have interned them — then archives and indexes the
-        re-identified rules exactly as :meth:`add_window` does.
-        """
-        timer = knowledge_base.timer
-        timer.add(PHASE_ITEMSETS, mined.itemset_seconds)
-        timer.add(PHASE_RULES, mined.rule_seconds)
-        with timer.phase(PHASE_MERGE):
-            scored = [
-                local._replace(rule_id=knowledge_base.catalog.intern(local.rule))
-                for local in mined.scored
-            ]
-            scored.sort(key=lambda s: s.rule_id)
-        return self._index_window(knowledge_base, mined.window_size, scored)
-
-    def _index_window(
-        self,
-        knowledge_base: TaraKnowledgeBase,
-        window_size: int,
-        scored: Sequence[ScoredRule],
-    ) -> WindowSlice:
-        """Archive + EPS-index one window's scored rules (steps 3–4)."""
-        config = self.config
-        timer = knowledge_base.timer
-        window = len(knowledge_base.slices)
-
-        with timer.phase(PHASE_ARCHIVE):
-            # A rule missing from this window was pruned either because
-            # its itemset fell below the support threshold (count <
-            # ceil(supp_g * n)) or because its confidence fell below
-            # conf_g (count < conf_g * antecedent <= conf_g * n).  The
-            # exclusive bound on an unarchived rule's count is therefore
-            # the max of the two ceilings — this is what makes the
-            # roll-up approximation bounds sound.
-            bound = max(
-                min_count_for(config.min_support, window_size),
-                min_count_for(config.min_confidence, window_size),
+            knowledge_base.slices.append(window_slice)
+            knowledge_base.rules_in_window.append(
+                sorted({s.rule_id for s in scored})
             )
-            knowledge_base.archive.begin_window(window_size, bound)
-            knowledge_base.archive.record(window, scored)
-
-        with timer.phase(PHASE_EPS):
-            groups = group_by_counts(scored)
-            item_source = self._item_index_source(knowledge_base, scored)
-            window_slice = WindowSlice.from_count_groups(
-                window,
-                window_size,
-                groups,
-                generation_setting=config.setting,
-                item_index_source=item_source,
-            )
-
-        knowledge_base.slices.append(window_slice)
-        knowledge_base.rules_in_window.append(
-            sorted({s.rule_id for s in scored})
-        )
-        knowledge_base.window_sizes.append(window_size)
-        return window_slice
+            knowledge_base.window_sizes.append(window_size)
+            return window_slice
 
     def _item_index_source(
         self,

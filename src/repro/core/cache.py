@@ -11,8 +11,7 @@ shot when the snapshot retires).  The pre-PR-8 per-entry purge protocol
 retirement, never a scan.
 
 The container lives in :mod:`repro.core` because the snapshot segment
-does; :mod:`repro.service.cache` re-exports it for the serving tier and
-for older import paths.
+does; the serving tier imports it from here.
 
 The cache itself is **not** synchronized; its owner
 (:class:`repro.service.service.TaraService` or the snapshot) holds a

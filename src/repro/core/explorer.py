@@ -6,32 +6,29 @@ phase, traditional temporal mining *and* the novel exploration
 operations all run in milliseconds ("3 to 5 orders of magnitude faster
 than its state-of-the-art competitors").
 
-Operation map (paper query classes → methods):
+Operation map (paper query classes → entry points):
 
-====  ==========================================  =======================
-Q     paper operation                             method
-====  ==========================================  =======================
+====  ==========================================  ==================================
+Q     paper operation                             entry point
+====  ==========================================  ==================================
 —     traditional mining with time spec           :meth:`TaraExplorer.mine`
-Q1    rule trajectory across periods              :meth:`TaraExplorer.trajectories`
-Q2    evolving ruleset comparison                 :meth:`TaraExplorer.compare`
-Q3    parameter recommendation (stable region)    :meth:`TaraExplorer.recommend`
+Q1    rule trajectory across periods              ``execute(TrajectoryQuery(...))``
+Q2    evolving ruleset comparison                 ``execute(CompareQuery(...))``
+Q3    parameter recommendation (stable region)    ``execute(RecommendQuery(...))``
 Q4    trajectory summaries / most-stable rules    :meth:`TaraExplorer.top_rules`
-Q5    content-based exploration (TARA-S)          :meth:`TaraExplorer.content`
-—     roll-up / drill-down                        :meth:`TaraExplorer.mine_rolled_up`
-====  ==========================================  =======================
+Q5    content-based exploration (TARA-S)          ``execute(ContentQuery(...))``
+—     roll-up / drill-down                        ``execute(RollupQuery(...))``
+====  ==========================================  ==================================
 
-Every operation is also describable as a frozen request dataclass
-(:mod:`repro.core.queries`) executed through
-:meth:`TaraExplorer.execute` — the unified entry point the online
-serving layer (:mod:`repro.service`) canonicalizes and caches.  The
-named methods above are thin shims over that dispatch.
+The request classes are frozen dataclasses (:mod:`repro.core.queries`);
+:meth:`TaraExplorer.execute` is the one entry point the online serving
+layer (:mod:`repro.service`) canonicalizes and caches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union, overload
+from typing import Dict, List, Optional, Union, overload
 
-from repro.common.deprecation import warn_deprecated
 from repro.common.errors import QueryError
 from repro.core.archive import WindowMeasure
 from repro.core.builder import TaraKnowledgeBase
@@ -53,7 +50,6 @@ from repro.core.queries import (
 from repro.core.regions import ParameterSetting
 from repro.core.rollup import rolled_up_mine
 from repro.core.trajectory import TrajectorySummary, summarize_trajectory
-from repro.data.items import ItemId
 from repro.data.periods import PeriodSpec
 from repro.mining.rules import RuleId
 
@@ -99,8 +95,7 @@ class TaraExplorer:
         Dispatches on the request type: :class:`TrajectoryQuery` (Q1),
         :class:`CompareQuery` (Q2), :class:`RecommendQuery` (Q3),
         :class:`ContentQuery` (Q5), :class:`RollupQuery` (roll-up).  The
-        legacy per-operation methods are thin shims over this dispatch,
-        and the serving layer (:mod:`repro.service`) caches through it.
+        serving layer (:mod:`repro.service`) caches through it.
         """
         if isinstance(query, TrajectoryQuery):
             return self._trajectories(query)
@@ -157,58 +152,25 @@ class TaraExplorer:
             answer[window] = mined
         return answer
 
-    def mine_rolled_up(
-        self, setting: ParameterSetting, spec: PeriodSpec
-    ) -> RollupAnswer:
+    def _mine_rolled_up(self, query: RollupQuery) -> RollupAnswer:
         """Mining over the *merged* period (roll-up semantics).
 
         Answers a coarse-granularity request from archived counts; see
         :mod:`repro.core.rollup` for the exactness guarantee.
-
-        .. deprecated:: PR 8
-           Use ``execute(RollupQuery(...))``.
         """
-        warn_deprecated(
-            "explorer.mine_rolled_up",
-            "TaraExplorer.mine_rolled_up() is deprecated: use "
-            "execute(RollupQuery(setting=..., spec=...))",
-        )
-        return self.execute(RollupQuery(setting=setting, spec=spec))
-
-    def _mine_rolled_up(self, query: RollupQuery) -> RollupAnswer:
         spec = query.spec.restrict_to(self.knowledge_base.window_count)
         return rolled_up_mine(self.knowledge_base, query.setting, spec)
 
     # ------------------------------------------------------------------
     # Q1: rule trajectory
     # ------------------------------------------------------------------
-    def trajectories(
-        self,
-        setting: ParameterSetting,
-        anchor_window: int,
-        spec: Optional[PeriodSpec] = None,
-    ) -> List[RuleTrajectory]:
-        """Q1: rules matching *setting* in *anchor_window*, tracked over *spec*.
+    def _trajectories(self, query: TrajectoryQuery) -> List[RuleTrajectory]:
+        """Q1: rules matching the setting in the anchor window, tracked.
 
         The anchor ruleset comes from the EPS slice; each rule's values
         in the other requested windows are decoded from the archive
         (``None`` where the rule was not archived).
-
-        .. deprecated:: PR 8
-           Use ``execute(TrajectoryQuery(...))``.
         """
-        warn_deprecated(
-            "explorer.trajectories",
-            "TaraExplorer.trajectories() is deprecated: use "
-            "execute(TrajectoryQuery(setting=..., anchor_window=...))",
-        )
-        return self.execute(
-            TrajectoryQuery(
-                setting=setting, anchor_window=anchor_window, spec=spec
-            )
-        )
-
-    def _trajectories(self, query: TrajectoryQuery) -> List[RuleTrajectory]:
         setting, anchor_window = query.setting, query.anchor_window
         spec = self._spec(query.spec)
         archive = self.knowledge_base.archive
@@ -231,32 +193,13 @@ class TaraExplorer:
     # ------------------------------------------------------------------
     # Q2: evolving ruleset comparison
     # ------------------------------------------------------------------
-    def compare(
-        self,
-        first: ParameterSetting,
-        second: ParameterSetting,
-        spec: Optional[PeriodSpec] = None,
-        mode: MatchMode = MatchMode.SINGLE,
-    ) -> ComparisonResult:
+    def _compare(self, query: CompareQuery) -> ComparisonResult:
         """Q2: difference of two settings' rulesets over shared periods.
 
         ``SINGLE`` mode reports a rule if the two settings disagree on it
         in at least one window; ``EXACT`` mode only if they disagree in
-        every window of *spec*.
-
-        .. deprecated:: PR 8
-           Use ``execute(CompareQuery(...))``.
+        every window of the spec.
         """
-        warn_deprecated(
-            "explorer.compare",
-            "TaraExplorer.compare() is deprecated: use "
-            "execute(CompareQuery(first=..., second=...))",
-        )
-        return self.execute(
-            CompareQuery(first=first, second=second, spec=spec, mode=mode)
-        )
-
-    def _compare(self, query: CompareQuery) -> ComparisonResult:
         first, second, mode = query.first, query.second, query.mode
         spec = self._spec(query.spec)
         per_window: List[WindowDiff] = []
@@ -299,27 +242,14 @@ class TaraExplorer:
     # ------------------------------------------------------------------
     # Q3: parameter recommendation
     # ------------------------------------------------------------------
-    def recommend(
-        self, setting: ParameterSetting, window: Optional[int] = None
-    ) -> Recommendation:
+    def _recommend(self, query: RecommendQuery) -> Recommendation:
         """Q3: the enclosing stable region and its axis neighbors.
 
-        *window* defaults to the latest.  The region bounds answer "how
-        far can I move the thresholds without changing the result"; the
-        neighbors preview the ruleset-size effect of crossing each
-        boundary.
-
-        .. deprecated:: PR 8
-           Use ``execute(RecommendQuery(...))``.
+        The window defaults to the latest.  The region bounds answer
+        "how far can I move the thresholds without changing the
+        result"; the neighbors preview the ruleset-size effect of
+        crossing each boundary.
         """
-        warn_deprecated(
-            "explorer.recommend",
-            "TaraExplorer.recommend() is deprecated: use "
-            "execute(RecommendQuery(setting=..., window=...))",
-        )
-        return self.execute(RecommendQuery(setting=setting, window=window))
-
-    def _recommend(self, query: RecommendQuery) -> Recommendation:
         setting, window = query.setting, query.window
         if window is None:
             window = self.knowledge_base.window_count - 1
@@ -377,30 +307,12 @@ class TaraExplorer:
     # ------------------------------------------------------------------
     # Q5: content-based exploration
     # ------------------------------------------------------------------
-    def content(
-        self,
-        setting: ParameterSetting,
-        items: Sequence[ItemId],
-        spec: Optional[PeriodSpec] = None,
-    ) -> Dict[int, List[RuleId]]:
-        """Q5: valid rules mentioning any of *items*, per window.
+    def _content(self, query: ContentQuery) -> Dict[int, List[RuleId]]:
+        """Q5: valid rules mentioning any of the items, per window.
 
         Requires a knowledge base built with ``build_item_index=True``
         (the TARA-S variant).
-
-        .. deprecated:: PR 8
-           Use ``execute(ContentQuery(...))``.
         """
-        warn_deprecated(
-            "explorer.content",
-            "TaraExplorer.content() is deprecated: use "
-            "execute(ContentQuery(setting=..., items=...))",
-        )
-        return self.execute(
-            ContentQuery(setting=setting, items=tuple(items), spec=spec)
-        )
-
-    def _content(self, query: ContentQuery) -> Dict[int, List[RuleId]]:
         if not query.items:
             raise QueryError("content query needs at least one item")
         spec = self._spec(query.spec)

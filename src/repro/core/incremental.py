@@ -28,27 +28,23 @@ against a private copy-on-write successor:
 
 Readers obtain a pinned view with :meth:`snapshot`, which returns a
 context-managed :class:`~repro.core.snapshot.SnapshotHandle`.
-
-The pre-PR-8 mutation surface (``append_batch`` / ``append_batches`` /
-``subscribe``) survives as thin shims that emit one
-:class:`DeprecationWarning` per process and delegate to
-:meth:`publish`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
-from repro.common.deprecation import warn_deprecated
 from repro.common.errors import BuildInFlightError, ValidationError
 from repro.core.archive import TarArchive
 from repro.core.builder import GenerationConfig, TaraBuilder, TaraKnowledgeBase
 from repro.core.explorer import TaraExplorer
-from repro.core.regions import WindowSlice
 from repro.core.snapshot import DEFAULT_SEGMENT_CAPACITY, Snapshot, SnapshotHandle
 from repro.data.transactions import Transaction
 from repro.mining.rules import RuleCatalog
+
+# The global lock acquisition order, for any path that must nest:
+# repro-lint: lock-order=IncrementalTara._lock,TaraService._lock,Snapshot._lock
 
 
 class IncrementalTara:
@@ -64,7 +60,6 @@ class IncrementalTara:
         self._builder = TaraBuilder(config)
         self._segment_capacity = segment_capacity
         self._lock = threading.Lock()
-        self._listeners: List[Callable[[int], None]] = []  # repro-lint: guarded-by=_lock
         self._building = False  # repro-lint: guarded-by=_lock
         self._retired_entries = 0  # repro-lint: guarded-by=_lock
         self._retired_snapshots = 0  # repro-lint: guarded-by=_lock
@@ -199,7 +194,6 @@ class IncrementalTara:
         # every lock: if no reader still holds it, retirement (and its
         # callback into our own lock) runs right here.
         predecessor.release()
-        self._notify_appended(successor.window_count)
         return successor
 
     def _validate_batches(
@@ -226,77 +220,6 @@ class IncrementalTara:
         with self._lock:
             self._retired_snapshots += 1
             self._retired_entries += dropped_entries
-
-    def _notify_appended(self, window_count: int) -> None:
-        # Snapshot under the lock, call outside it: a legacy listener
-        # may acquire its own lock, and holding ours across that call
-        # would nest the two.  The global acquisition order, for any
-        # path that must nest, is:
-        # repro-lint: lock-order=IncrementalTara._lock,TaraService._lock,Snapshot._lock
-        with self._lock:
-            listeners = tuple(self._listeners)
-        for listener in listeners:
-            listener(window_count)
-
-    # ------------------------------------------------------------------
-    # deprecated pre-PR-8 mutation surface
-    # ------------------------------------------------------------------
-    def subscribe(self, listener: Callable[[int], None]) -> None:
-        """Deprecated: register *listener* for post-publish callbacks.
-
-        .. deprecated:: PR 8
-           The serving layer no longer advances an epoch counter on
-           append; readers pin immutable snapshots instead.  Poll
-           :meth:`snapshot_stats` or compare :attr:`Snapshot.epoch`
-           identities if you need to observe publication.
-        """
-        warn_deprecated(
-            "incremental.subscribe",
-            "IncrementalTara.subscribe() is deprecated: the serving tier pins "
-            "immutable snapshots (IncrementalTara.snapshot()) instead of "
-            "reacting to append notifications",
-        )
-        with self._lock:
-            self._listeners.append(listener)
-
-    def append_batch(self, transactions: Sequence[Transaction]) -> WindowSlice:
-        """Deprecated: incorporate one batch as a new basic window.
-
-        .. deprecated:: PR 8
-           Use :meth:`publish`, which returns the installed
-           :class:`Snapshot`; the new window's slice is
-           ``snapshot.knowledge_base.slices[-1]``.
-        """
-        warn_deprecated(
-            "incremental.append_batch",
-            "IncrementalTara.append_batch() is deprecated: use "
-            "publish([batch]), which returns the installed Snapshot",
-        )
-        snapshot = self.publish([transactions])
-        return snapshot.knowledge_base.slices[-1]
-
-    def append_batches(
-        self, batches: Iterable[Sequence[Transaction]]
-    ) -> List[WindowSlice]:
-        """Deprecated: append several batches in order.
-
-        .. deprecated:: PR 8
-           Use :meth:`publish`, which installs all batches as one new
-           snapshot (the per-batch mining still runs through
-           :meth:`TaraBuilder.add_windows`, so a parallel
-           :attr:`GenerationConfig.executor` is honoured).
-        """
-        warn_deprecated(
-            "incremental.append_batches",
-            "IncrementalTara.append_batches() is deprecated: use "
-            "publish(batches), which returns the installed Snapshot",
-        )
-        staged = [list(batch) for batch in batches]
-        if not staged:
-            return []
-        before = self.window_count
-        snapshot = self.publish(staged)
-        return list(snapshot.knowledge_base.slices[before:])
 
     # ------------------------------------------------------------------
     # validation

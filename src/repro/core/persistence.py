@@ -17,11 +17,12 @@ Two formats:
   the file and materializes per window / per rule on first touch under
   an optional ``memory_budget`` — RSS stays bounded however large the
   KB is.
-* **v1 (deprecated for writing)** — the original single JSON envelope
-  with base85-encoded blobs, eagerly decoded and fully rebuilt on
-  load.  Still loadable forever; writing it warns once per process via
-  :mod:`repro.common.deprecation` (``repro convert`` migrates old
-  files).
+* **v1 (legacy)** — the original single JSON envelope with
+  base85-encoded blobs, eagerly decoded and fully rebuilt on load.
+  Still loadable forever, and ``repro convert`` migrates old files to
+  v2.  No command writes it; the library writer stays because
+  ``repro bench-persist`` uses the eager v1 loader as its answer
+  reference.
 
 No pickle anywhere: both formats are inspectable and safe to load.
 """
@@ -33,7 +34,6 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.common.deprecation import warn_deprecated
 from repro.common.errors import DataFormatError
 from repro.common.gcscope import paused_gc
 from repro.common.timing import PhaseTimer
@@ -57,8 +57,6 @@ FORMAT_VERSION = 1
 #: The segmented binary container — the default write format.
 DEFAULT_FORMAT_VERSION = CONTAINER_FORMAT_VERSION
 
-_V1_WRITE_DEPRECATION_KEY = "persistence.v1-write"
-
 
 def save_knowledge_base(
     knowledge_base: TaraKnowledgeBase,
@@ -70,19 +68,12 @@ def save_knowledge_base(
     """Write *knowledge_base* to *path*; returns bytes written.
 
     The archive is sealed as a side effect (sealing is idempotent and
-    required so every series has its canonical encoding).  Writing the
-    legacy v1 envelope still works but warns once per process;
+    required so every series has its canonical encoding).
     *shard_size* only applies to v2.
     """
     if format_version == CONTAINER_FORMAT_VERSION:
         return _save_v2(knowledge_base, Path(path), shard_size)
     if format_version == FORMAT_VERSION:
-        warn_deprecated(
-            _V1_WRITE_DEPRECATION_KEY,
-            "writing knowledge bases in the eager v1 JSON format is "
-            "deprecated; write format v2 (the default) or migrate old "
-            "files with `repro convert`",
-        )
         return _save_v1(knowledge_base, Path(path))
     raise DataFormatError(
         f"unknown knowledge-base format version {format_version!r} "

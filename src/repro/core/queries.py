@@ -40,8 +40,7 @@ class MatchMode(enum.Enum):
 #
 # Every online operation is described by one frozen request dataclass
 # and executed through :meth:`repro.core.explorer.TaraExplorer.execute`.
-# The legacy per-operation methods remain as thin shims that build the
-# matching request.  Freezing makes requests hashable and safely
+# Freezing makes requests hashable and safely
 # shareable across threads; the serving layer never uses their raw
 # float thresholds as cache identity — it canonicalizes each request to
 # integer stable-region keys (:mod:`repro.service.keys`).

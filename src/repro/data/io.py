@@ -1,17 +1,15 @@
-"""Reading and writing transaction databases and ADR reports.
+"""Reading and writing transaction databases in FIMI format.
 
-Two interchange formats:
+FIMI is the format of the Frequent Itemset Mining Implementations
+repository that distributes the paper's real datasets (``retail``,
+``webdocs``): one transaction per line, items as whitespace-separated
+non-negative integers.  Plain FIMI has no timestamps; the *timed*
+variant used here prefixes each line with ``<time>:``.  Reading
+auto-detects which variant a file uses.
 
-* **FIMI** — the format of the Frequent Itemset Mining Implementations
-  repository that distributes the paper's real datasets (``retail``,
-  ``webdocs``): one transaction per line, items as whitespace-separated
-  non-negative integers.  Plain FIMI has no timestamps; the *timed*
-  variant used here prefixes each line with ``<time>:``.  Reading
-  auto-detects which variant a file uses.
 ADR-report TSV I/O lives in :mod:`repro.maras.io` — its record types
 are MARAS domain objects, and the data layer may not import upward
-(R002).  ``read_reports`` / ``write_reports`` remain importable from
-here through a lazy compatibility shim for existing callers.
+(R002).
 
 These let a deployment swap the synthetic generators for the real files
 without touching anything downstream.
@@ -20,7 +18,7 @@ without touching anything downstream.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, List, Union
+from typing import List, Union
 
 from repro.common.errors import DataFormatError
 from repro.data.database import TransactionDatabase
@@ -95,22 +93,3 @@ def read_fimi(path: PathLike) -> TransactionDatabase:
         raise DataFormatError(f"{path}: no transactions found")
     return TransactionDatabase(transactions)
 
-
-# ----------------------------------------------------------------------
-# ADR report TSV (compatibility shim)
-# ----------------------------------------------------------------------
-def __getattr__(name: str) -> Any:
-    """Lazily forward the relocated report I/O names to ``repro.maras.io``.
-
-    A module-level ``__getattr__`` (PEP 562) keeps ``from repro.data.io
-    import read_reports`` working without a static upward import: the
-    maras layer only loads if a caller actually touches these names.
-    """
-    if name in ("read_reports", "write_reports"):
-        import repro.maras.io as _maras_io  # repro-lint: disable=R002
-
-        return getattr(_maras_io, name)
-    # The PEP 562 protocol itself demands AttributeError here.
-    raise AttributeError(  # repro-lint: disable=R003
-        f"module {__name__!r} has no attribute {name!r}"
-    )

@@ -10,8 +10,6 @@ This lives in the ``maras`` layer (not ``data``) because the record
 types it serializes — :class:`~repro.maras.reports.Report` and
 :class:`~repro.maras.reports.ReportDatabase` — are MARAS domain
 objects; the generic ``data`` layer must not import upward (R002).
-The old names remain importable from :mod:`repro.data.io` via a lazy
-compatibility shim.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Request coalescing — concurrent identical queries execute once.
 
-The serving tier's cache (:mod:`repro.service.cache`) deduplicates
+The serving tier's cache (:mod:`repro.core.cache`) deduplicates
 *sequential* identical work; under concurrency a burst of region-
 equivalent requests can still all miss before the first one finishes
 computing.  :class:`RequestCoalescer` closes that gap: requests are

@@ -164,16 +164,17 @@ class ResponseCache:
 
     def put_gzip(self, key: ResponseKey, value: bytes, epoch: int) -> None:
         """Store the pre-compressed complete response body for *key*."""
-        before = len(self._entries)
-        self._store(key + (GZIP,), value, epoch)
-        if len(self._entries) > before:
+        entry_key = key + (GZIP,)
+        fresh = entry_key not in self._entries
+        if self._store(entry_key, value, epoch) and fresh:
             self.gzip_variants += 1
 
-    def _store(self, entry_key: _EntryKey, body: bytes, epoch: int) -> None:
+    def _store(self, entry_key: _EntryKey, body: bytes, epoch: int) -> bool:
+        """Insert one body, evicting oldest first; False if over budget."""
         cost = len(body) + ENTRY_OVERHEAD
         if cost > self.budget_bytes:
             self.rejected += 1
-            return
+            return False
         self._discard(entry_key)
         while self._entries and self.current_bytes + cost > self.budget_bytes:
             self._evict_oldest()
@@ -183,6 +184,7 @@ class ResponseCache:
         self.stores += 1
         if epoch != EPOCH_FREE:
             self._by_epoch.setdefault(epoch, set()).add(entry_key)
+        return True
 
     def _evict_oldest(self) -> None:
         entry_key, (_, cost, epoch) = self._entries.popitem(last=False)

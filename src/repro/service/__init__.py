@@ -6,8 +6,8 @@ into time-aware stable regions within which every setting yields the
 same answer.  This layer turns the second fact into a serving-time
 win — :class:`TaraService` canonicalizes each Q1/Q2/Q3/Q5 request to an
 all-integer stable-region key, memoizes answers in bounded LRUs
-(:class:`RegionKeyedCache`), and tracks hit/miss/latency per query
-class (:class:`ServiceMetrics`).  Every request executes against a
+(:class:`repro.core.cache.RegionKeyedCache`), and tracks
+hit/miss/latency per query class (:class:`ServiceMetrics`).  Every request executes against a
 pinned MVCC snapshot (:meth:`TaraService.pin`): epoch-free answers
 share a service-owned cache, generation-scoped answers live in the
 snapshot's own segment and retire with it when
@@ -17,7 +17,6 @@ reader drains.
 See ``docs/serving.md`` for the design discussion.
 """
 
-from repro.service.cache import CacheEntry, RegionKeyedCache
 from repro.service.keys import (
     EPOCH_FREE,
     CacheKey,
@@ -28,12 +27,10 @@ from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.service import ServiceSource, TaraService
 
 __all__ = [
-    "CacheEntry",
     "CacheKey",
     "CanonicalQuery",
     "EPOCH_FREE",
     "LatencyHistogram",
-    "RegionKeyedCache",
     "ServiceMetrics",
     "ServiceSource",
     "TaraService",

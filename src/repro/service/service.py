@@ -48,6 +48,7 @@ from typing import (
 from repro.common.errors import ValidationError
 from repro.common.timing import stopwatch
 from repro.core.builder import TaraKnowledgeBase
+from repro.core.cache import CacheEntry, RegionKeyedCache
 from repro.core.explorer import ExplorerAnswer, TaraExplorer
 from repro.core.incremental import IncrementalTara
 from repro.core.queries import (
@@ -55,8 +56,6 @@ from repro.core.queries import (
     ComparisonResult,
     ContentQuery,
     ExplorerQuery,
-    MatchMode,
-    MinedRule,
     Recommendation,
     RecommendQuery,
     RollupAnswer,
@@ -64,13 +63,9 @@ from repro.core.queries import (
     RuleTrajectory,
     TrajectoryQuery,
 )
-from repro.core.regions import ParameterSetting
 from repro.core.snapshot import Snapshot, SnapshotHandle
-from repro.data.items import ItemId
-from repro.data.periods import PeriodSpec
 from repro.data.transactions import Transaction
 from repro.mining.rules import RuleId
-from repro.service.cache import CacheEntry, RegionKeyedCache
 from repro.service.keys import EPOCH_FREE, CacheKey, CanonicalQuery, canonicalize
 from repro.service.metrics import ServiceMetrics
 
@@ -403,70 +398,3 @@ class TaraService:
             pairs = cast(Tuple[Tuple[int, Tuple[RuleId, ...]], ...], frozen)
             return {window: list(ids) for window, ids in pairs}
         return cast(RollupAnswer, frozen)
-
-    # ------------------------------------------------------------------
-    # convenience wrappers (mirror the explorer's named operations)
-    # ------------------------------------------------------------------
-    def trajectories(
-        self,
-        setting: ParameterSetting,
-        anchor_window: int,
-        spec: Optional[PeriodSpec] = None,
-    ) -> List[RuleTrajectory]:
-        """Q1 via the cache; see :class:`TrajectoryQuery`."""
-        return self.execute(
-            TrajectoryQuery(
-                setting=setting, anchor_window=anchor_window, spec=spec
-            )
-        )
-
-    def compare(
-        self,
-        first: ParameterSetting,
-        second: ParameterSetting,
-        spec: Optional[PeriodSpec] = None,
-        mode: MatchMode = MatchMode.SINGLE,
-    ) -> ComparisonResult:
-        """Q2 via the cache; see :class:`CompareQuery`."""
-        return self.execute(
-            CompareQuery(first=first, second=second, spec=spec, mode=mode)
-        )
-
-    def recommend(
-        self, setting: ParameterSetting, window: Optional[int] = None
-    ) -> Recommendation:
-        """Q3 via the cache; see :class:`RecommendQuery`."""
-        return self.execute(RecommendQuery(setting=setting, window=window))
-
-    def content(
-        self,
-        setting: ParameterSetting,
-        items: Sequence[ItemId],
-        spec: Optional[PeriodSpec] = None,
-    ) -> Dict[int, List[RuleId]]:
-        """Q5 via the cache; see :class:`ContentQuery`."""
-        return self.execute(
-            ContentQuery(setting=setting, items=tuple(items), spec=spec)
-        )
-
-    def mine_rolled_up(
-        self, setting: ParameterSetting, spec: PeriodSpec
-    ) -> RollupAnswer:
-        """Roll-up mining — metered but never cached (not region-invariant)."""
-        return self.execute(RollupQuery(setting=setting, spec=spec))
-
-    def mine(
-        self, setting: ParameterSetting, spec: Optional[PeriodSpec] = None
-    ) -> Dict[int, List[MinedRule]]:
-        """Traditional mining — metered as class ``"mine"``, uncached.
-
-        Mining answers embed per-window float measures for every rule;
-        they are bulky relative to recomputation cost, so the serving
-        layer meters them without caching.
-        """
-        with stopwatch() as clock:
-            with self.pin() as snapshot:
-                answer = snapshot.explorer().mine(setting, spec)
-        with self._lock:
-            self.metrics.observe("mine", False, clock.seconds)
-        return answer

@@ -210,7 +210,7 @@ class TestR005Clocks:
 
 
 class TestRegistry:
-    def test_all_nine_rules_registered(self):
+    def test_all_eight_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == [
             "R001",
@@ -221,7 +221,6 @@ class TestRegistry:
             "R006",
             "R007",
             "R008",
-            "R009",
         ]
 
     def test_every_rule_has_metadata(self):

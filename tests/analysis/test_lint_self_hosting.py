@@ -134,9 +134,9 @@ class TestCliLint:
             "R006",
             "R007",
             "R008",
-            "R009",
         ):
             assert rule_id in out
+        assert "R009" not in out  # retired with its subject, run_ordered
 
     def test_lint_index_cache_cli_round_trip(self, tmp_path, capsys):
         cache = tmp_path / "lint-index.pickle"

@@ -1,4 +1,4 @@
-"""``run_matrix``'s fingerprint gates, unit-tested with stubbed cells."""
+"""``run_matrix``'s fingerprint gate, unit-tested with stubbed cells."""
 
 import pytest
 
@@ -9,74 +9,40 @@ from repro.common.errors import ValidationError
 def _fake_cells(fingerprint_of):
     """A ``_run_cell`` stand-in whose fingerprint is computed per cell."""
 
-    def fake_run_cell(dataset, miner, strategy, workers, repeat):
+    def fake_run_cell(dataset, miner, repeat):
         return {
             "dataset": dataset,
             "transactions": 10,
             "windows": 2,
             "miner": miner,
-            "strategy": strategy,
-            "workers": 1,
             "wall_seconds": 1.0,
             "phases": {},
             "rules": 1,
             "archive_entries": 1,
             "archive_bytes": 1,
-            "fingerprint": fingerprint_of(miner, strategy),
+            "fingerprint": fingerprint_of(miner),
         }
 
     return fake_run_cell
 
 
 def test_equal_fingerprints_pass(monkeypatch):
-    monkeypatch.setattr(
-        offline, "_run_cell", _fake_cells(lambda miner, strategy: "same")
-    )
-    results, speedups = offline.run_matrix(
-        ["retail"], ["apriori", "vertical"], ["serial", "thread"], None, 1
-    )
-    assert len(results) == 4
-    assert len(speedups) == 2
+    monkeypatch.setattr(offline, "_run_cell", _fake_cells(lambda miner: "same"))
+    results = offline.run_matrix(["retail"], ["apriori", "vertical"], 1)
+    assert [cell["miner"] for cell in results] == ["apriori", "vertical"]
 
 
 def test_cross_miner_divergence_aborts(monkeypatch):
-    monkeypatch.setattr(
-        offline, "_run_cell", _fake_cells(lambda miner, strategy: miner)
-    )
+    monkeypatch.setattr(offline, "_run_cell", _fake_cells(lambda miner: miner))
     with pytest.raises(ValidationError, match="vertical build of retail diverged"):
-        offline.run_matrix(
-            ["retail"], ["apriori", "vertical"], ["serial"], None, 1
-        )
+        offline.run_matrix(["retail"], ["apriori", "vertical"], 1)
 
-
-def test_parallel_divergence_aborts_before_cross_miner_check(monkeypatch):
-    monkeypatch.setattr(
-        offline, "_run_cell", _fake_cells(lambda miner, strategy: strategy)
-    )
-    with pytest.raises(ValidationError, match="thread build of retail/apriori"):
-        offline.run_matrix(
-            ["retail"], ["apriori", "vertical"], ["serial", "thread"], None, 1
-        )
-
-
-def test_cross_miner_check_skipped_without_serial_cells(monkeypatch):
-    """Without a serial twin there is no reference; the matrix still runs
-    (this mirrors the existing behavior of the speedup computation)."""
-    monkeypatch.setattr(
-        offline, "_run_cell", _fake_cells(lambda miner, strategy: miner)
-    )
-    results, speedups = offline.run_matrix(
-        ["retail"], ["apriori", "vertical"], ["thread"], None, 1
-    )
-    assert len(results) == 2
-    assert speedups == []
 
 class TestPhaseSummaryMarkdown:
     CELLS = [
         {
             "dataset": "retail",
-            "miner": "vertical",
-            "strategy": "serial",
+            "miner": "apriori",
             "wall_seconds": 1.23456,
             "phases": {
                 "frequent itemset generation": 0.5,
@@ -87,11 +53,10 @@ class TestPhaseSummaryMarkdown:
         {
             "dataset": "retail",
             "miner": "vertical",
-            "strategy": "thread",
             "wall_seconds": 0.9,
             "phases": {
                 "frequent itemset generation": 0.4,
-                "worker pool wall-clock": 0.3,
+                "archival": 0.3,
             },
         },
     ]
@@ -102,17 +67,17 @@ class TestPhaseSummaryMarkdown:
         header = next(line for line in lines if line.startswith("| dataset"))
         # Union of phase names, first-seen order.
         assert header == (
-            "| dataset | miner | strategy | wall | "
+            "| dataset | miner | wall | "
             "frequent itemset generation | rule derivation | "
-            "EPS index update | worker pool wall-clock |"
+            "EPS index update | archival |"
         )
         rows = [line for line in lines if line.startswith("| retail")]
         assert rows[0] == (
-            "| retail | vertical | serial | 1.2346 | "
+            "| retail | apriori | 1.2346 | "
             "0.5000 | 0.2500 | 0.1250 | — |"
         )
         assert rows[1] == (
-            "| retail | vertical | thread | 0.9000 | "
+            "| retail | vertical | 0.9000 | "
             "0.4000 | — | — | 0.3000 |"
         )
 
@@ -121,9 +86,7 @@ class TestPhaseSummaryMarkdown:
         assert text.startswith("## repro bench")
 
     def test_summary_out_appends_markdown(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            offline, "_run_cell", _fake_cells(lambda miner, strategy: "same")
-        )
+        monkeypatch.setattr(offline, "_run_cell", _fake_cells(lambda miner: "same"))
         summary = tmp_path / "summary.md"
         summary.write_text("existing\n", encoding="utf-8")
         out = tmp_path / "bench.json"
@@ -132,12 +95,10 @@ class TestPhaseSummaryMarkdown:
             datasets=["retail"],
             out=str(out),
             repeat=1,
-            workers=None,
-            strategies=["serial"],
             miners=["vertical"],
             summary_out=str(summary),
         )
         assert offline.run_bench(args) == 0
         text = summary.read_text(encoding="utf-8")
         assert text.startswith("existing\n## repro bench")
-        assert "| retail | vertical | serial |" in text
+        assert "| retail | vertical | 1.0000 |" in text

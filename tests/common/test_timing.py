@@ -2,9 +2,6 @@
 
 import time
 
-import pytest
-
-from repro.common.errors import ValidationError
 from repro.common.timing import PhaseTimer, stopwatch
 
 
@@ -70,48 +67,6 @@ class TestPhaseTimer:
 
     def test_report_on_empty_timer(self):
         assert "total" in PhaseTimer().report()
-
-
-class TestInformationalPhases:
-    """Wall-clock attribution phases that must not distort the task stack."""
-
-    def test_excluded_from_total(self):
-        timer = PhaseTimer()
-        timer.add("mining", 2.0)
-        timer.add("pool wall", 1.5, informational=True)
-        assert timer.total == 2.0
-        assert timer.totals["pool wall"] == 1.5
-        assert timer.is_informational("pool wall")
-        assert not timer.is_informational("mining")
-
-    def test_still_reported_in_breakdown_and_report(self):
-        timer = PhaseTimer()
-        timer.add("mining", 2.0)
-        with timer.phase("pool wall", informational=True):
-            pass
-        assert "pool wall" in timer.breakdown()
-        report = timer.report()
-        assert "pool wall" in report
-        assert "excluded from total" in report
-
-    def test_flag_conflict_rejected(self):
-        timer = PhaseTimer()
-        timer.add("x", 1.0)
-        with pytest.raises(ValidationError, match="already recorded"):
-            timer.add("x", 1.0, informational=True)
-        timer.add("wall", 1.0, informational=True)
-        with pytest.raises(ValidationError, match="already recorded"):
-            with timer.phase("wall"):
-                pass
-
-    def test_merge_carries_informational_flag(self):
-        source = PhaseTimer()
-        source.add("work", 1.0)
-        source.add("wall", 5.0, informational=True)
-        target = PhaseTimer()
-        target.merge(source)
-        assert target.total == 1.0
-        assert target.is_informational("wall")
 
 
 class TestStopwatch:

@@ -6,22 +6,9 @@ import random
 
 import pytest
 
-from repro.common.deprecation import reset_deprecation_registry
 from repro.core import GenerationConfig, build_knowledge_base
 from repro.data import TransactionDatabase, WindowedDatabase
 from repro.maras import Report, ReportDatabase
-
-
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_registry():
-    """Each test sees the once-per-process warning registry empty.
-
-    The shims warn once per process; without the reset, whichever test
-    touched a legacy surface first would swallow the warning every
-    other test asserts on.
-    """
-    reset_deprecation_registry()
-    yield
 
 
 def random_itemlists(seed: int, count: int, item_count: int, max_len: int):

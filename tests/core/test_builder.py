@@ -12,7 +12,10 @@ from repro.core.builder import (
     TaraBuilder,
     build_knowledge_base,
 )
+from repro.bench.offline import knowledge_base_fingerprint
+from repro.data import TransactionDatabase, WindowedDatabase
 from repro.data.periods import PeriodSpec
+from repro.datagen import retail_dataset
 from repro.mining.apriori import mine_apriori
 from repro.mining.rules import derive_rules
 
@@ -117,8 +120,6 @@ class TestMinerEquivalence:
         """Stronger: rule ids, archive bytes, and EPS axes are identical
         whichever miner ran — the cross-miner fingerprint gate of
         ``repro bench``, pinned here on the small fixture."""
-        from repro.bench.offline import knowledge_base_fingerprint
-
         fingerprints = {
             miner: knowledge_base_fingerprint(
                 build_knowledge_base(
@@ -151,3 +152,32 @@ class TestIncrementalEntryPoint:
         kb = build_knowledge_base(small_windows, config)
         for rule in kb.catalog:
             assert len(rule.items) <= 2
+
+
+class TestEdgeWindows:
+    def test_single_window(self):
+        database = retail_dataset(transaction_count=120, seed=3)
+        windows = WindowedDatabase.partition_by_count(database, 1)
+        config = GenerationConfig(min_support=0.02, min_confidence=0.2)
+        kb = build_knowledge_base(windows, config)
+        assert kb.window_count == 1
+        assert knowledge_base_fingerprint(kb) == knowledge_base_fingerprint(
+            build_knowledge_base(windows, config)
+        )
+
+    def test_empty_middle_window(self):
+        # A timestamp gap leaves window 1 of the time partition empty;
+        # an empty window is legal and must survive the build.
+        itemlists = [[0, 1], [0, 1], [1, 2], [0, 2], [0, 1], [1, 2]]
+        times = [0, 1, 2, 20, 21, 22]  # width 10 -> windows 0, 1 (empty), 2
+        database = TransactionDatabase.from_itemlists(itemlists, times)
+        windows = WindowedDatabase.partition_by_time(database, window_width=10)
+        assert windows.window_count == 3
+        assert windows.window_size(1) == 0
+        config = GenerationConfig(min_support=0.3, min_confidence=0.3)
+        kb = build_knowledge_base(windows, config)
+        assert kb.window_count == 3
+        assert kb.rules_in_window[1] == []
+        assert knowledge_base_fingerprint(kb) == knowledge_base_fingerprint(
+            build_knowledge_base(windows, config)
+        )

@@ -9,7 +9,6 @@ from repro.core import (
     MatchMode,
     ParameterSetting,
     RecommendQuery,
-    RollupQuery,
     TaraExplorer,
     TrajectoryQuery,
 )
@@ -241,38 +240,6 @@ class TestSummarize:
         assert summary.windows_requested == small_kb.window_count
         assert summary.coverage == pytest.approx(
             windows_present / small_kb.window_count
-        )
-
-
-class TestDeprecatedMethodShims:
-    """The legacy named methods warn, then answer exactly like execute()."""
-
-    def test_each_shim_warns_and_matches_execute(self, explorer):
-        other = ParameterSetting(0.08, 0.4)
-        with pytest.warns(DeprecationWarning, match="TrajectoryQuery"):
-            legacy = explorer.trajectories(SETTING, anchor_window=0)
-        assert legacy == explorer.execute(
-            TrajectoryQuery(setting=SETTING, anchor_window=0)
-        )
-        with pytest.warns(DeprecationWarning, match="CompareQuery"):
-            legacy = explorer.compare(SETTING, other, mode=MatchMode.EXACT)
-        assert legacy == explorer.execute(
-            CompareQuery(first=SETTING, second=other, mode=MatchMode.EXACT)
-        )
-        with pytest.warns(DeprecationWarning, match="RecommendQuery"):
-            legacy = explorer.recommend(SETTING, window=1)
-        assert legacy == explorer.execute(
-            RecommendQuery(setting=SETTING, window=1)
-        )
-        with pytest.warns(DeprecationWarning, match="ContentQuery"):
-            legacy = explorer.content(SETTING, [3])
-        assert legacy == explorer.execute(
-            ContentQuery(setting=SETTING, items=(3,))
-        )
-        with pytest.warns(DeprecationWarning, match="RollupQuery"):
-            legacy = explorer.mine_rolled_up(SETTING, PeriodSpec([0, 1]))
-        assert legacy == explorer.execute(
-            RollupQuery(setting=SETTING, spec=PeriodSpec([0, 1]))
         )
 
 

@@ -155,35 +155,3 @@ class TestPublishSnapshots:
         )
         incremental.publish([small_windows.window(0)])
         assert incremental.window_count == 1
-
-
-class TestDeprecatedShims:
-    """The PR-7 mutation surface still works, but warns once per key."""
-
-    def test_append_batch_warns_and_publishes(self, small_windows, config):
-        incremental = IncrementalTara(config)
-        with pytest.warns(DeprecationWarning, match="publish"):
-            slice_ = incremental.append_batch(small_windows.window(0))
-        assert slice_.window == 0
-        assert incremental.window_count == 1
-
-    def test_append_batches_warns_and_returns_new_slices(
-        self, small_windows, config
-    ):
-        incremental = IncrementalTara(config)
-        with pytest.warns(DeprecationWarning, match="publish"):
-            slices = incremental.append_batches(
-                small_windows.window(i) for i in range(2)
-            )
-        assert [s.window for s in slices] == [0, 1]
-        # Same key, same process: the second call stays silent.
-        assert incremental.append_batches([]) == []
-
-    def test_subscribe_warns_and_still_notifies(self, small_windows, config):
-        incremental = IncrementalTara(config)
-        observed = []
-        with pytest.warns(DeprecationWarning, match="snapshot"):
-            incremental.subscribe(observed.append)
-        incremental.publish([small_windows.window(0)])
-        incremental.publish([small_windows.window(1)])
-        assert observed == [1, 2]

@@ -23,26 +23,17 @@ from repro.data import PeriodSpec
 FORMATS = [FORMAT_VERSION, DEFAULT_FORMAT_VERSION]
 
 
-def _save(kb, path, format_version):
-    if format_version == FORMAT_VERSION:
-        # Writing the legacy eager format warns (once per process; the
-        # autouse registry reset makes that once per test).
-        with pytest.warns(DeprecationWarning, match="v1 JSON format"):
-            return save_knowledge_base(kb, path, format_version=format_version)
-    return save_knowledge_base(kb, path, format_version=format_version)
-
-
 @pytest.fixture(params=FORMATS, ids=["v1", "v2"])
 def saved_path(request, small_kb, tmp_path):
     path = tmp_path / "kb.tara"
-    _save(small_kb, path, request.param)
+    save_knowledge_base(small_kb, path, format_version=request.param)
     return path
 
 
 @pytest.fixture()
 def saved_v1_path(small_kb, tmp_path):
     path = tmp_path / "kb.json"
-    _save(small_kb, path, FORMAT_VERSION)
+    save_knowledge_base(small_kb, path, format_version=FORMAT_VERSION)
     return path
 
 
@@ -50,13 +41,13 @@ class TestRoundtrip:
     @pytest.mark.parametrize("format_version", FORMATS, ids=["v1", "v2"])
     def test_file_written(self, small_kb, tmp_path, format_version):
         path = tmp_path / "kb.tara"
-        written = _save(small_kb, path, format_version)
+        written = save_knowledge_base(small_kb, path, format_version=format_version)
         assert written == path.stat().st_size
         assert written > 0
 
     def test_default_write_format_is_v2(self, small_kb, tmp_path):
         path = tmp_path / "kb.tara"
-        save_knowledge_base(small_kb, path)  # must not warn (v2 default)
+        save_knowledge_base(small_kb, path)
         assert isinstance(load_knowledge_base(path), LazyTaraKnowledgeBase)
 
     def test_unknown_format_version_rejected(self, small_kb, tmp_path):

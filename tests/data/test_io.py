@@ -4,8 +4,9 @@ import pytest
 
 from repro.common.errors import DataFormatError
 from repro.data.database import TransactionDatabase
-from repro.data.io import read_fimi, read_reports, write_fimi, write_reports
+from repro.data.io import read_fimi, write_fimi
 from repro.data.items import ItemVocabulary
+from repro.maras.io import read_reports, write_reports
 from repro.maras.reports import Report, ReportDatabase
 
 

@@ -5,6 +5,21 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core import load_knowledge_base, save_knowledge_base
+
+
+def write_v1(kb_file, path):
+    """Rewrite a saved knowledge base as a v1 JSON envelope at *path*.
+
+    Commands write only v2; the library's v1 writer makes the files the
+    v1 read paths are tested on.
+    """
+    knowledge_base = load_knowledge_base(kb_file)
+    try:
+        save_knowledge_base(knowledge_base, path, format_version=1)
+    finally:
+        knowledge_base.close()
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +66,7 @@ class TestGenerate:
         assert len(read_fimi(fimi_file)) == 1500
 
     def test_faers_output_readable(self, reports_file):
-        from repro.data.io import read_reports
+        from repro.maras.io import read_reports
 
         assert len(read_reports(reports_file)) == 1500
 
@@ -150,24 +165,22 @@ class TestBenchCommand:
                 "bench", "--quick",
                 "--out", str(out),
                 "--repeat", "1",
-                "--strategies", "serial", "thread",
             ]
         )
         assert code == 0
-        assert "speedup vs serial" in capsys.readouterr().out
+        assert "wrote" in capsys.readouterr().out
         payload = json.loads(out.read_text())
-        assert payload["schema"] == bench.SCHEMA
+        assert payload["schema"] == bench.SCHEMA == "repro-bench-offline/2"
         assert payload["quick"] is True
         assert payload["host"]["cpu_count"] >= 1
-        strategies = {cell["strategy"] for cell in payload["results"]}
-        assert strategies == {"serial", "thread"}
         miners = {cell["miner"] for cell in payload["results"]}
         assert miners == {"apriori", "vertical"}
         fingerprints = {cell["fingerprint"] for cell in payload["results"]}
-        # One fingerprint across *all* cells: serial/parallel equivalence
-        # and cross-miner equivalence, both enforced before writing.
+        # One fingerprint across *all* cells: cross-miner equivalence is
+        # enforced before writing.
         assert len(fingerprints) == 1
-        assert payload["speedups"][0]["strategy"] == "thread"
+        assert "speedups" not in payload
+        assert all("strategy" not in cell for cell in payload["results"])
 
     def test_miners_filter_restricts_matrix(self, tmp_path, monkeypatch):
         import repro.bench as bench
@@ -179,7 +192,6 @@ class TestBenchCommand:
                 "bench", "--quick",
                 "--out", str(out),
                 "--repeat", "1",
-                "--strategies", "serial",
                 "--miners", "vertical",
             ]
         )
@@ -207,44 +219,34 @@ class TestConvertAndKbInfo:
         assert "rules/shard" in out
         assert "--memory-budget" in out
 
-    def test_convert_to_v1_and_info(self, kb_file, tmp_path, capsys):
-        v1 = tmp_path / "kb.v1.json"
-        with pytest.warns(DeprecationWarning, match="v1 JSON format"):
-            assert main(["convert", str(kb_file), str(v1), "--format", "1"]) == 0
-        assert "format v1" in capsys.readouterr().out
+    def test_kb_info_v1(self, kb_file, tmp_path, capsys):
+        v1 = write_v1(kb_file, tmp_path / "kb.v1.json")
         assert main(["kb-info", str(v1)]) == 0
         out = capsys.readouterr().out
+        assert "format v1" in out
         assert "eager JSON envelope" in out
         assert "repro convert" in out
 
-    def test_convert_roundtrip_bytes_identical(self, kb_file, tmp_path):
+    def test_convert_roundtrip_bytes_identical(self, kb_file, tmp_path, capsys):
         # v2 -> v1 -> v2 must reproduce the original container exactly:
         # the write path is canonical.
-        v1 = tmp_path / "kb.v1.json"
+        v1 = write_v1(kb_file, tmp_path / "kb.v1.json")
         v2 = tmp_path / "kb.back.tara2"
-        with pytest.warns(DeprecationWarning, match="v1 JSON format"):
-            assert main(["convert", str(kb_file), str(v1), "--format", "1"]) == 0
         assert main(["convert", str(v1), str(v2)]) == 0
+        assert "format v1" in capsys.readouterr().out
         assert v2.read_bytes() == kb_file.read_bytes()
 
-    def test_build_format_1_warns_and_writes_json(
-        self, fimi_file, tmp_path, capsys
-    ):
-        out = tmp_path / "kb.v1.json"
-        with pytest.warns(DeprecationWarning, match="v1 JSON format"):
-            code = main(
-                [
-                    "build",
-                    "--input", str(fimi_file),
-                    "--out", str(out),
-                    "--batches", "2",
-                    "--min-support", "0.02",
-                    "--min-confidence", "0.3",
-                    "--format", "1",
-                ]
-            )
-        assert code == 0
-        assert json.loads(out.read_text())["format_version"] == 1
+    def test_build_and_convert_write_only_v2(self, kb_file, tmp_path, capsys):
+        out = tmp_path / "kb.json"
+        for argv in (
+            ["build", "--input", "x", "--out", str(out),
+             "--min-support", "0.02", "--min-confidence", "0.3"],
+            ["convert", str(kb_file), str(out)],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--format", "1"])
+            assert excinfo.value.code == 2
+            assert "--format" in capsys.readouterr().err
 
     def test_kb_info_missing_file_is_domain_error(self, tmp_path, capsys):
         assert main(["kb-info", str(tmp_path / "nope")]) == 1
@@ -357,7 +359,7 @@ class TestErrorPaths:
 
 
 class TestThresholdFlagUnification:
-    """--minsupp/--minconf everywhere; legacy spellings stay as aliases."""
+    """--minsupp/--minconf everywhere, required; legacy spellings are gone."""
 
     def test_mine_accepts_new_spelling(self, kb_file, capsys):
         code = main(
@@ -400,25 +402,6 @@ class TestThresholdFlagUnification:
         output = capsys.readouterr().out
         assert "only under the first setting" in output
 
-    def test_compare_legacy_and_new_agree(self, kb_file, capsys):
-        with pytest.warns(DeprecationWarning, match="minsupp"):
-            assert main(
-                [
-                    "compare", "--kb", str(kb_file),
-                    "--first", "0.015", "0.3", "--second", "0.03", "0.3",
-                ]
-            ) == 0
-        legacy = capsys.readouterr().out
-        assert main(
-            [
-                "compare", "--kb", str(kb_file),
-                "--minsupp", "0.015", "--minconf", "0.3",
-                "--second-minsupp", "0.03", "--second-minconf", "0.3",
-            ]
-        ) == 0
-        assert capsys.readouterr().out == legacy
-
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_compare_mixed_spellings_rejected(self, kb_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
@@ -426,20 +409,19 @@ class TestThresholdFlagUnification:
                     "compare", "--kb", str(kb_file),
                     "--first", "0.015", "0.3",
                     "--minsupp", "0.015", "--minconf", "0.3",
-                    "--second", "0.03", "0.3",
+                    "--second-minsupp", "0.03", "--second-minconf", "0.3",
                 ]
             )
         assert excinfo.value.code == 2
-        assert "not both" in capsys.readouterr().err
+        assert "--first" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_compare_incomplete_setting_rejected(self, kb_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
                 [
                     "compare", "--kb", str(kb_file),
                     "--minsupp", "0.015",
-                    "--second", "0.03", "0.3",
+                    "--second-minsupp", "0.03", "--second-minconf", "0.3",
                 ]
             )
         assert excinfo.value.code == 2

@@ -59,6 +59,17 @@ class TestLookup:
         cache.put_gzip(KEY_A, b"gz2", 3)  # refresh, not a new variant
         assert cache.gzip_variants == 1
 
+    def test_gzip_variant_counted_when_its_store_evicts(self):
+        body = b"x" * 100
+        cache = ResponseCache(3 * (len(body) + ENTRY_OVERHEAD))
+        keys = [((n,), ()) for n in range(3)]
+        for key in keys:
+            cache.put(key, body, EPOCH_FREE)
+        cache.put_gzip(keys[2], body, EPOCH_FREE)  # full: evicts keys[0]
+        assert cache.evictions == 1 and len(cache) == 3
+        assert cache.lookup(keys[2], accept_gzip=True).encoding == GZIP
+        assert cache.gzip_variants == 1
+
 
 class TestBudget:
     def test_eviction_is_least_recently_served(self):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.service import EPOCH_FREE, RegionKeyedCache
+from repro.core.cache import RegionKeyedCache
+from repro.service import EPOCH_FREE
 
 
 class TestLru:
@@ -58,10 +59,3 @@ class TestSegmentRetirement:
         cache.put((2,), "free", EPOCH_FREE)
         assert cache.clear() == 2
         assert cache.clear() == 0
-
-    def test_canonical_home_is_core(self):
-        # The serving-tier import path must stay an alias of the core
-        # container, not a fork of it.
-        from repro.core.cache import RegionKeyedCache as core_cache
-
-        assert RegionKeyedCache is core_cache

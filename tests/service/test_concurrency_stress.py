@@ -23,6 +23,7 @@ from repro.core import (
 from repro.service import TaraService
 
 SETTING = ParameterSetting(0.05, 0.3)
+WINDOW_0 = RecommendQuery(setting=SETTING, window=0)
 
 
 @pytest.fixture()
@@ -42,13 +43,13 @@ def run_all(threads):
 class TestExplorerCreationRace:
     def test_cold_concurrent_queries_share_one_explorer(self, small_kb):
         service = TaraService(small_kb)
-        expected = service.uncached(RecommendQuery(setting=SETTING, window=0))
+        expected = service.uncached(WINDOW_0)
         results = []
         errors = []
 
         def client():
             try:
-                results.append(service.recommend(SETTING, window=0))
+                results.append(service.execute(WINDOW_0))
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -66,13 +67,13 @@ class TestQueriesRacingPublishes:
         self, incremental, small_windows
     ):
         service = TaraService(incremental)
-        expected = service.recommend(SETTING, window=0)
+        expected = service.execute(WINDOW_0)
         errors = []
         stop = threading.Event()
 
         def client():
             while not stop.is_set():
-                got = service.recommend(SETTING, window=0)
+                got = service.execute(WINDOW_0)
                 if got.region != expected.region:
                     errors.append(got)
 

@@ -6,6 +6,8 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.core import (
+    CompareQuery,
+    ContentQuery,
     GenerationConfig,
     IncrementalTara,
     ParameterSetting,
@@ -14,6 +16,11 @@ from repro.core import (
     TrajectoryQuery,
 )
 from repro.service import TaraService
+
+
+def anchored(setting):
+    """Q1 anchored at window 0, tracked over every window."""
+    return TrajectoryQuery(setting=setting, anchor_window=0)
 
 
 @pytest.fixture()
@@ -25,8 +32,8 @@ class TestRegionSharing:
     def test_same_region_settings_share_one_entry(
         self, service, base_setting, equivalent_setting
     ):
-        first = service.trajectories(base_setting, anchor_window=0)
-        second = service.trajectories(equivalent_setting, anchor_window=0)
+        first = service.execute(anchored(base_setting))
+        second = service.execute(anchored(equivalent_setting))
         assert first == second
         assert service.cache_info()["entries"] == 1
         assert service.metrics.hits["Q1"] == 1
@@ -35,8 +42,8 @@ class TestRegionSharing:
     def test_cross_region_settings_get_distinct_entries(
         self, service, base_setting
     ):
-        service.trajectories(base_setting, anchor_window=0)
-        service.trajectories(ParameterSetting(0.1, 0.5), anchor_window=0)
+        service.execute(anchored(base_setting))
+        service.execute(anchored(ParameterSetting(0.1, 0.5)))
         assert service.cache_info()["entries"] == 2
         assert service.metrics.hits["Q1"] == 0
         assert service.metrics.misses["Q1"] == 2
@@ -44,13 +51,14 @@ class TestRegionSharing:
     def test_warm_answers_echo_the_callers_floats(
         self, service, base_setting, equivalent_setting
     ):
-        service.recommend(base_setting)
-        warm = service.recommend(equivalent_setting)
+        service.execute(RecommendQuery(setting=base_setting))
+        warm = service.execute(RecommendQuery(setting=equivalent_setting))
         assert service.metrics.hits["Q3"] == 1
         assert warm.setting == equivalent_setting
-        cold_compare = service.compare(base_setting, ParameterSetting(0.1, 0.5))
-        warm_compare = service.compare(
-            equivalent_setting, ParameterSetting(0.1, 0.5)
+        other = ParameterSetting(0.1, 0.5)
+        cold_compare = service.execute(CompareQuery(first=base_setting, second=other))
+        warm_compare = service.execute(
+            CompareQuery(first=equivalent_setting, second=other)
         )
         assert service.metrics.hits["Q2"] == 1
         assert warm_compare.first == equivalent_setting
@@ -58,15 +66,16 @@ class TestRegionSharing:
         assert warm_compare.only_second == cold_compare.only_second
 
     def test_served_containers_are_caller_owned(self, service, base_setting):
-        first = service.trajectories(base_setting, anchor_window=0)
+        first = service.execute(anchored(base_setting))
         expected = len(first)
         first.clear()
-        again = service.trajectories(base_setting, anchor_window=0)
+        again = service.execute(anchored(base_setting))
         assert len(again) == expected
-        content = service.content(base_setting, items=(0,))
+        content_query = ContentQuery(setting=base_setting, items=(0,))
+        content = service.execute(content_query)
         for ids in content.values():
             ids.clear()
-        assert service.content(base_setting, items=(0,)) != content or not content
+        assert service.execute(content_query) != content or not content
 
 
 class TestAgainstExplorer:
@@ -74,7 +83,7 @@ class TestAgainstExplorer:
         service = TaraService(small_kb)
         explorer = TaraExplorer(small_kb)
         queries = [
-            TrajectoryQuery(setting=base_setting, anchor_window=0),
+            anchored(base_setting),
             RecommendQuery(setting=base_setting),
         ]
         for query in queries:
@@ -85,9 +94,8 @@ class TestAgainstExplorer:
     def test_wrapping_an_existing_explorer(self, small_kb, base_setting):
         explorer = TaraExplorer(small_kb)
         service = TaraService(explorer)
-        assert service.recommend(base_setting) == explorer.execute(
-            RecommendQuery(setting=base_setting)
-        )
+        query = RecommendQuery(setting=base_setting)
+        assert service.execute(query) == explorer.execute(query)
 
     def test_invalid_source_rejected(self):
         with pytest.raises(ValidationError, match="serve"):
@@ -109,8 +117,9 @@ class TestSnapshotRetirement:
         service = TaraService(incremental)
         assert service.epoch == 2
 
-        scoped = service.trajectories(base_setting, anchor_window=0)  # spec=None
-        explicit = service.recommend(base_setting, window=0)
+        scoped = service.execute(anchored(base_setting))  # spec=None
+        explicit_query = RecommendQuery(setting=base_setting, window=0)
+        explicit = service.execute(explicit_query)
         assert service.cache_info()["entries"] == 2
         assert {len(t.measures) for t in scoped} == {2}
 
@@ -119,11 +128,11 @@ class TestSnapshotRetirement:
         assert service.cache_info()["entries"] == 1  # segment died with its snapshot
         assert service.metrics.invalidations == 1
 
-        rescoped = service.trajectories(base_setting, anchor_window=0)
+        rescoped = service.execute(anchored(base_setting))
         assert service.metrics.misses["Q1"] == 2  # recomputed, not served stale
         assert {len(t.measures) for t in rescoped} == {3}
 
-        assert service.recommend(base_setting, window=0) == explicit
+        assert service.execute(explicit_query) == explicit
         assert service.metrics.hits["Q3"] == 1  # explicit entry survived
 
     def test_publish_with_empty_segment_is_harmless(self, small_windows):
@@ -139,8 +148,8 @@ class TestSnapshotRetirement:
 class TestMetricsAndBounds:
     def test_evictions_reach_the_metrics(self, small_kb, base_setting):
         service = TaraService(small_kb, max_entries=1)
-        service.trajectories(base_setting, anchor_window=0)
-        service.trajectories(ParameterSetting(0.1, 0.5), anchor_window=0)
+        service.execute(anchored(base_setting))
+        service.execute(anchored(ParameterSetting(0.1, 0.5)))
         info = service.cache_info()
         assert info["entries"] == 1
         assert info["evictions"] == 1
@@ -150,8 +159,8 @@ class TestMetricsAndBounds:
         self, service, base_setting, equivalent_setting
     ):
         for setting in (base_setting, equivalent_setting, base_setting):
-            service.trajectories(setting, anchor_window=0)
-            service.recommend(setting)
+            service.execute(anchored(setting))
+            service.execute(RecommendQuery(setting=setting))
         for query_class in ("Q1", "Q3"):
             assert (
                 service.metrics.hits[query_class]
@@ -168,13 +177,13 @@ class TestMetricsAndBounds:
     def test_concurrent_clients_agree(self, small_kb, base_setting, equivalent_setting):
         service = TaraService(small_kb)
         expected = TaraExplorer(small_kb).execute(
-            TrajectoryQuery(setting=base_setting, anchor_window=0)
+            anchored(base_setting)
         )
         failures = []
 
         def client(setting):
             for _ in range(5):
-                got = service.trajectories(setting, anchor_window=0)
+                got = service.execute(anchored(setting))
                 if got != expected:
                     failures.append(setting)
 
