@@ -16,11 +16,15 @@ against a private copy-on-write successor:
 1. :meth:`publish` admits one writer at a time (a second concurrent
    call raises :class:`~repro.common.errors.BuildInFlightError`, which
    the serving tier maps to HTTP 409);
-2. the predecessor's knowledge base is cloned (cheap: outer containers
-   only — windows, archive series, and interned rules are append-once
-   and shared), and the new batches are mined into the clone via
-   :meth:`TaraBuilder.add_windows` (vertical kernel, under
-   :func:`~repro.common.gcscope.paused_gc`);
+2. the predecessor's knowledge base is cloned and the new batches are
+   mined into the clone via :meth:`TaraBuilder.add_windows` (vertical
+   kernel, under :func:`~repro.common.gcscope.paused_gc`).  The clone
+   is O(history), not O(delta): window slices, entry tuples and
+   interned :class:`~repro.mining.rules.Rule` values are shared, but
+   :meth:`TarArchive.clone` copies every staged series list (the
+   publisher's archive never seals, so that is every entry archived so
+   far) and :meth:`RuleCatalog.clone` copies the id table and rule
+   list;
 3. a new snapshot wraps the successor and is *atomically swapped in*
    under the publisher lock; readers that pinned the predecessor keep
    answering against it, and it retires — cache segment and explorer
@@ -28,12 +32,19 @@ against a private copy-on-write successor:
 
 Readers obtain a pinned view with :meth:`snapshot`, which returns a
 context-managed :class:`~repro.core.snapshot.SnapshotHandle`.
+
+Reference counting alone frees what a publish supersedes.  Snapshots
+report retirement into a :class:`RetirementLedger` rather than into
+the publisher, so neither a retired snapshot nor a dropped publisher
+sits in a reference cycle: its knowledge base goes when its last pin
+(or the last reference to the publisher) does, even on a heap whose
+survivors the serving tier has frozen (:mod:`repro.common.gcscope`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.common.errors import BuildInFlightError, ValidationError
 from repro.core.archive import TarArchive
@@ -45,6 +56,34 @@ from repro.mining.rules import RuleCatalog
 
 # The global lock acquisition order, for any path that must nest:
 # repro-lint: lock-order=IncrementalTara._lock,TaraService._lock,Snapshot._lock
+
+
+class RetirementLedger:
+    """Retirement counters the publisher's snapshots report into.
+
+    Each snapshot's ``on_retire`` callback is :meth:`record` on this
+    ledger, which holds no reference back to the publisher; a bound
+    method of the publisher there would close the cycle publisher →
+    current snapshot → callback → publisher.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._snapshots = 0  # repro-lint: guarded-by=_lock
+        self._entries = 0  # repro-lint: guarded-by=_lock
+
+    def record(self, dropped_entries: int) -> None:
+        """Count one retired snapshot and its dropped segment entries."""
+        # Fired by Snapshot.release *after* it dropped Snapshot._lock,
+        # and this lock is a leaf: no path takes another lock under it.
+        with self._lock:
+            self._snapshots += 1
+            self._entries += dropped_entries
+
+    def totals(self) -> Tuple[int, int]:
+        """``(retired snapshots, dropped segment entries)`` so far."""
+        with self._lock:
+            return self._snapshots, self._entries
 
 
 class IncrementalTara:
@@ -61,8 +100,7 @@ class IncrementalTara:
         self._segment_capacity = segment_capacity
         self._lock = threading.Lock()
         self._building = False  # repro-lint: guarded-by=_lock
-        self._retired_entries = 0  # repro-lint: guarded-by=_lock
-        self._retired_snapshots = 0  # repro-lint: guarded-by=_lock
+        self._retirements = RetirementLedger()
         initial = Snapshot(
             0,
             TaraKnowledgeBase(
@@ -71,7 +109,7 @@ class IncrementalTara:
                 archive=TarArchive(),
             ),
             segment_capacity=segment_capacity,
-            on_retire=self._record_retirement,
+            on_retire=self._retirements.record,
         )
         # The publisher holds one standing pin on the current snapshot,
         # so "current" can never retire out from under a new reader.
@@ -126,8 +164,7 @@ class IncrementalTara:
         with self._lock:
             current = self._current
             building = self._building
-            retired_snapshots = self._retired_snapshots
-            retired_entries = self._retired_entries
+        retired_snapshots, retired_entries = self._retirements.totals()
         return {
             "epoch": current.epoch,
             "windows": current.window_count,
@@ -143,8 +180,7 @@ class IncrementalTara:
         :class:`repro.service.TaraService` polls this to account
         retirements as invalidations in its metrics.
         """
-        with self._lock:
-            return self._retired_entries
+        return self._retirements.totals()[1]
 
     # ------------------------------------------------------------------
     # publishing
@@ -180,7 +216,7 @@ class IncrementalTara:
                 successor_kb.window_count,
                 successor_kb,
                 segment_capacity=self._segment_capacity,
-                on_retire=self._record_retirement,
+                on_retire=self._retirements.record,
             )
             # Standing pin first, then swap: between these two lines the
             # successor is simply not yet visible to anyone.
@@ -213,13 +249,6 @@ class IncrementalTara:
             )
             validated.append(batch)
         return validated
-
-    def _record_retirement(self, dropped_entries: int) -> None:
-        # Fired by Snapshot.release *after* it dropped Snapshot._lock,
-        # so taking our lock here never nests inside the snapshot's.
-        with self._lock:
-            self._retired_snapshots += 1
-            self._retired_entries += dropped_entries
 
     # ------------------------------------------------------------------
     # validation

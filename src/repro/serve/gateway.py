@@ -14,7 +14,7 @@ drift between them.
 Routes::
 
     GET  /healthz             liveness + drain state + serving epoch
-    GET  /metrics             counters, latency histograms, coalescing
+    GET  /metrics             counters, latency histograms, coalescing, gc
     GET  /v1/snapshot         published epoch, window count, refcounts
     POST /v1/query/<kind>     one query; kinds in protocol.QUERY_KINDS
     POST /v1/admin/append     writer path: publish new window batches
@@ -51,11 +51,20 @@ share an execution on the *same* snapshot — see
 pinned snapshot, and releases the pin after the answer is encoded.
 The response cache observes pinned epochs and purges scoped entries of
 retired snapshots (:meth:`ResponseCache.observe_epoch`).
+
+The gateway owns the process's serving-heap policy
+(:mod:`repro.common.gcscope`): building it freezes the heap, so the
+cyclic collector stops rescanning the loaded knowledge base; each
+served publish runs under :func:`~repro.common.gcscope.paused_then_frozen`
+(one collection over its own allocations, then its survivors are
+frozen too); :meth:`QueryGateway.aclose` unfreezes the heap.  Like the
+collector itself, the policy is process-wide.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import gzip
 import hashlib
 import json
@@ -73,6 +82,7 @@ from repro.common.errors import (
     UnknownWindowError,
     ValidationError,
 )
+from repro.common.gcscope import collector_stats, paused_then_frozen
 from repro.common.timing import stopwatch
 from repro.core.snapshot import Snapshot
 from repro.serve.coalesce import RequestCoalescer
@@ -235,10 +245,12 @@ class QueryGateway:
     """Routes requests onto one shared :class:`TaraService`.
 
     The gateway itself is event-loop-confined (coalescer map, metrics,
-    response cache); only :meth:`TaraService.execute_on` calls and gzip
-    compression cross into the thread pool, and the service carries its
-    own lock.  One gateway serves exactly one loop — create it from the
-    loop that will dispatch on it.
+    response cache); only :meth:`TaraService.execute_on` calls, gzip
+    compression and publishes cross into the thread pool, and the
+    service carries its own lock.  One gateway serves exactly one loop —
+    create it from the loop that will dispatch on it.  Construction
+    freezes the process heap and :meth:`aclose` unfreezes it (see the
+    module docstring).
     """
 
     def __init__(
@@ -260,6 +272,9 @@ class QueryGateway:
         self.metrics = metrics if metrics is not None else ServerMetrics()
         self.respcache = ResponseCache(response_cache_bytes)
         self._draining = False
+        # The source is loaded by now: move it out of the collector's
+        # reach.  No collection first, so set-up stays O(1).
+        gc.freeze()
 
     @property
     def service(self) -> TaraService:
@@ -281,8 +296,14 @@ class QueryGateway:
         self._draining = True
 
     def aclose(self) -> None:
-        """Release the worker pool (after the last request drained)."""
+        """Release the worker pool and unfreeze the heap.
+
+        Called after the last request drained.  Unfreezing lets the
+        collector reclaim cyclic garbage that formed among frozen
+        objects while the gateway served.
+        """
         self._pool.shutdown(wait=True)
+        gc.unfreeze()
 
     # ------------------------------------------------------------------
     # dispatch
@@ -380,6 +401,7 @@ class QueryGateway:
                         respcache=self.respcache.counters(),
                     ),
                     "service": self._service.metrics_snapshot(),
+                    "gc": collector_stats(),
                 },
             )
         if target == "/v1/snapshot":
@@ -498,7 +520,9 @@ class QueryGateway:
             loop = asyncio.get_running_loop()
 
             def execute() -> Tuple[bytes, ...]:
-                answer = self._service.execute_on(snapshot, query)
+                answer = self._service.execute_on(
+                    snapshot, query, canonical
+                )
                 return tuple(
                     encode_answer_bytes(canonical.query_class, answer)
                 )
@@ -633,7 +657,10 @@ class QueryGateway:
         loop = asyncio.get_running_loop()
 
         def publish() -> Snapshot:
-            return self._service.publish(batches)
+            # No collector pass may rescan history mid-build; afterwards
+            # one pass over the young objects, whose survivors freeze.
+            with paused_then_frozen():
+                return self._service.publish(batches)
 
         try:
             snapshot = await loop.run_in_executor(self._pool, publish)

@@ -263,22 +263,27 @@ class TaraService:
         pass through uncached (their answers are not region-invariant).
         """
         with self.pin() as snapshot:
-            return self.execute_on(snapshot, query)
-
-    def execute_on(
-        self, snapshot: Snapshot, query: ExplorerQuery
-    ) -> ExplorerAnswer:
-        """Serve one request against an already-pinned *snapshot*.
-
-        The serving gateway pins once per request (so canonicalization,
-        coalescing, and execution all observe one view) and calls this;
-        the caller owns the pin and must hold it until the answer is
-        returned.
-        """
-        with stopwatch() as clock:
             canonical = canonicalize(
                 query, snapshot.knowledge_base, snapshot.epoch
             )
+            return self.execute_on(snapshot, query, canonical)
+
+    def execute_on(
+        self,
+        snapshot: Snapshot,
+        query: ExplorerQuery,
+        canonical: CanonicalQuery,
+    ) -> ExplorerAnswer:
+        """Serve one request against an already-pinned *snapshot*.
+
+        *canonical* is *query* canonicalized against *snapshot*: the
+        serving gateway pins once per request, canonicalizes against
+        that pin (so coalescing and execution observe one view), and
+        hands its canonical form on, so a served miss is canonicalized
+        once.  The caller owns the pin and must hold it until the
+        answer is returned.
+        """
+        with stopwatch() as clock:
             hit = False
             frozen: object = None
             if canonical.key is not None:

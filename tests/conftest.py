@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -9,6 +10,23 @@ import pytest
 from repro.core import GenerationConfig, build_knowledge_base
 from repro.data import TransactionDatabase, WindowedDatabase
 from repro.maras import Report, ReportDatabase
+
+
+@pytest.fixture(autouse=True)
+def _restore_collector():
+    """Leave the cyclic collector as each test found it.
+
+    A serving gateway freezes the process heap until it is closed, and
+    the refcount-only retirement tests disable the collector; neither
+    may carry over into the next test.
+    """
+    enabled = gc.isenabled()
+    yield
+    gc.unfreeze()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 def random_itemlists(seed: int, count: int, item_count: int, max_len: int):

@@ -1,5 +1,8 @@
 """Incremental publication must equal the from-scratch build."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.errors import BuildInFlightError, ValidationError
@@ -155,3 +158,42 @@ class TestPublishSnapshots:
         )
         incremental.publish([small_windows.window(0)])
         assert incremental.window_count == 1
+
+
+class TestReferenceCountedTeardown:
+    """What a publisher drops must go without a cyclic collection.
+
+    The serving tier freezes its heap, and a frozen object is never
+    cycle-collected, so these tests run with the collector disabled.
+    """
+
+    def test_dropped_publisher_frees_its_knowledge_base(
+        self, small_windows, config
+    ):
+        gc.disable()
+        incremental = IncrementalTara(config)
+        incremental.publish([small_windows.window(0)])
+        incremental.publish([small_windows.window(1)])
+        incremental.explorer()  # a retained explorer must not pin it
+        current = weakref.ref(incremental.knowledge_base)
+        assert incremental.current.refs == 1  # only the standing pin
+        del incremental
+        assert current() is None
+
+    def test_retirements_are_still_counted(self, small_windows, config):
+        incremental = IncrementalTara(config)
+        incremental.publish([small_windows.window(0)])
+        with incremental.snapshot() as pinned:
+            pinned.store((1,), "answer")
+            incremental.publish([small_windows.window(1)])
+            assert incremental.snapshot_stats()["retired_snapshots"] == 1
+        stats = incremental.snapshot_stats()
+        assert stats["retired_snapshots"] == 2
+        assert stats["retired_entries"] == 1
+        assert incremental.retired_entries() == 1
+
+    def test_publish_never_freezes_the_heap(self, small_windows, config):
+        gc.unfreeze()
+        incremental = IncrementalTara(config)
+        incremental.publish([small_windows.window(0)])
+        assert gc.get_freeze_count() == 0

@@ -10,6 +10,7 @@ same :class:`QueryGateway`.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 
 from repro.core import ParameterSetting, RecommendQuery
@@ -79,6 +80,7 @@ def test_asgi_routes_and_errors(small_kb):
 def test_asgi_lifespan_drains_gateway(small_kb):
     async def scenario():
         app = create_asgi_app(TaraService(small_kb))
+        frozen_while_serving = gc.get_freeze_count()
         messages = [
             {"type": "lifespan.startup"},
             {"type": "lifespan.shutdown"},
@@ -92,11 +94,14 @@ def test_asgi_lifespan_drains_gateway(small_kb):
             sent.append(message)
 
         await app({"type": "lifespan"}, receive, send)
-        return app, sent
+        return app, sent, frozen_while_serving
 
-    app, sent = asyncio.run(scenario())
+    app, sent, frozen_while_serving = asyncio.run(scenario())
     assert [m["type"] for m in sent] == [
         "lifespan.startup.complete",
         "lifespan.shutdown.complete",
     ]
     assert app.gateway.draining
+    # The gateway froze the heap when built; shutdown unfroze it.
+    assert frozen_while_serving > 0
+    assert gc.get_freeze_count() == 0

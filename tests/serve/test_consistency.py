@@ -51,11 +51,11 @@ def test_concurrent_identical_requests_coalesce(small_kb):
         executions = []
         original = service.execute_on
 
-        def gated_execute(snapshot, query):
+        def gated_execute(snapshot, query, canonical):
             executions.append(1)
             started.set()
             release.wait(timeout=5.0)
-            return original(snapshot, query)
+            return original(snapshot, query, canonical)
 
         service.execute_on = gated_execute  # instance shadow, test-only
         target, body = _request_bytes(
@@ -100,14 +100,14 @@ def test_publish_mid_flight_never_changes_the_pinned_answer(small_windows):
         original = service.execute_on
         raced = []
 
-        def racing_execute(snapshot, query):
+        def racing_execute(snapshot, query, canonical):
             # The publish lands after the gateway pinned its snapshot
             # (epoch 2) but before the execution returns: exactly the
             # race the pinned handle exists to make unobservable.
             if not raced:
                 raced.append(True)
                 incremental.publish([small_windows.window(2)])
-            return original(snapshot, query)
+            return original(snapshot, query, canonical)
 
         service.execute_on = racing_execute  # instance shadow, test-only
         # spec=None => generation-scoped: resolves to "all windows" of
@@ -150,9 +150,9 @@ def test_graceful_drain_finishes_in_flight_requests(
         service = TaraService(small_kb)
         original = service.execute_on
 
-        def slow_execute(snapshot, query):
+        def slow_execute(snapshot, query, canonical):
             time.sleep(0.2)
-            return original(snapshot, query)
+            return original(snapshot, query, canonical)
 
         service.execute_on = slow_execute  # instance shadow, test-only
         async with running_server(service, drain_timeout=5.0) as server:

@@ -277,3 +277,15 @@ class TestObservability:
         assert metrics["coalesce"]["executions"] >= 1
         assert metrics["requests"] == 2
         assert metrics["peak_in_flight"] >= 1
+        # The collector section: per-generation counts and the frozen
+        # heap the serving gateway holds.
+        collector = payload["gc"]
+        assert set(collector) == {"gen0", "gen1", "gen2", "frozen"}
+        for generation in ("gen0", "gen1", "gen2"):
+            counts = collector[generation]
+            assert set(counts) == {"collections", "collected", "uncollectable"}
+            assert all(
+                isinstance(value, int) and value >= 0
+                for value in counts.values()
+            )
+        assert collector["frozen"] > 0
