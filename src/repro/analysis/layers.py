@@ -28,10 +28,9 @@ door) sits directly above ``service`` — it speaks sockets and JSON but
 must not know how workloads are generated or benchmarked.  ``datagen``
 sits above ``maras`` because the FAERS generator plants known
 interactions from the MARAS reference knowledge base; ``bench`` (the
-``repro bench`` / ``bench-online`` / ``bench-serve`` perf harnesses)
-builds workloads from ``datagen`` and drives the service and serve
-layers from above; the CLI and the package root sit on top and may
-import anything.
+``repro bench`` / ``bench-persist`` perf harnesses) builds workloads
+from ``datagen`` and drives the build and storage layers from above;
+the CLI and the package root sit on top and may import anything.
 """
 
 from __future__ import annotations

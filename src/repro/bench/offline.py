@@ -1,8 +1,8 @@
 """``repro bench`` — the offline-phase performance harness.
 
-Datasets, thresholds, and the shared ``--quick/--out/--repeat/--datasets``
-flags live in :mod:`repro.bench.workloads`, shared with the online
-serving harness (:mod:`repro.bench.online`).
+Datasets, thresholds, and the ``--quick/--out/--repeat/--datasets``
+flags live in :mod:`repro.bench.workloads`, shared with the storage
+harness (:mod:`repro.bench.persist`).
 
 Runs a small fixed workload matrix (dataset × miner) through the
 complete offline build, records wall-clock and the Figure 9 per-task

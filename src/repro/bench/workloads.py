@@ -1,21 +1,16 @@
 """Shared benchmark workloads and CLI flags for the perf harnesses.
 
-Both ``repro bench`` (offline build, :mod:`repro.bench.offline`) and
-``repro bench-online`` (serving layer, :mod:`repro.bench.online`) draw
-their datasets, generation thresholds, and common command-line flags
-from here, so the two harnesses always agree on what "retail" or
-"--quick" means.
-
-The online sweeps mirror the paper's Figure 7/8 experiments (E6/E7):
-query-time support varies at a fixed confidence, then confidence varies
-at a fixed support, with every query value at or above the dataset's
-generation thresholds.
+``repro bench`` (offline build, :mod:`repro.bench.offline`) draws its
+datasets, generation thresholds and common command-line flags from
+here, and ``repro bench-persist`` (:mod:`repro.bench.persist`) scales
+the same retail workload, so the harnesses always agree on what
+"retail" means.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.common.errors import ValidationError
 from repro.data import TransactionDatabase, WindowedDatabase
@@ -36,21 +31,6 @@ _WORKLOADS: Dict[str, Tuple[int, int, float, float]] = {
     "T5k": (2_500, 8, 0.020, 0.30),
 }
 
-#: E6 analogue: query-time supports per dataset (all above supp_g).
-ONLINE_SUPPORT_SWEEP: Dict[str, Tuple[float, ...]] = {
-    "retail": (0.012, 0.02, 0.03),
-    "T5k": (0.02, 0.03, 0.04),
-}
-
-#: E7 analogue: query-time confidences (all at/above conf_g).
-ONLINE_CONFIDENCE_SWEEP: Tuple[float, ...] = (0.3, 0.45, 0.6)
-
-#: Confidence held fixed while support varies (per dataset).
-ONLINE_FIXED_CONFIDENCE: Dict[str, float] = {
-    "retail": 0.4,
-    "T5k": 0.3,
-}
-
 
 def _database(name: str) -> TransactionDatabase:
     """The raw transaction database of one bench dataset."""
@@ -69,28 +49,10 @@ def _windows(name: str) -> WindowedDatabase:
     )
 
 
-def online_settings(name: str) -> List[Tuple[str, float, float]]:
-    """The E6/E7 query matrix for one dataset.
-
-    Returns ``(sweep, minsupp, minconf)`` rows: the support sweep at the
-    dataset's fixed confidence, then the confidence sweep at the lowest
-    swept support.
-    """
-    rows: List[Tuple[str, float, float]] = [
-        ("support", supp, ONLINE_FIXED_CONFIDENCE[name])
-        for supp in ONLINE_SUPPORT_SWEEP[name]
-    ]
-    rows.extend(
-        ("confidence", ONLINE_SUPPORT_SWEEP[name][0], conf)
-        for conf in ONLINE_CONFIDENCE_SWEEP
-    )
-    return rows
-
-
 def add_shared_bench_arguments(
     parser: argparse.ArgumentParser, *, default_out: str
 ) -> None:
-    """Install the flags both perf harnesses share on *parser*.
+    """Install ``repro bench``'s matrix and output flags on *parser*.
 
     ``--quick`` (reduced CI matrix), ``--out`` (JSON artefact path, with
     the harness-specific *default_out*), ``--repeat`` (repetitions per

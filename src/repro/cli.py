@@ -28,18 +28,10 @@ Covers the full workflow without writing Python:
 ``repro bench``
     Offline-phase perf harness: build the fixed dataset x miner matrix
     and emit ``BENCH_offline.json``.
-``repro bench-online``
-    Serving-layer perf harness: drive the region-keyed query cache
-    through the E6/E7 sweeps and emit ``BENCH_online.json``.
 ``repro serve``
     Serve a saved knowledge base over HTTP (asyncio network tier with
-    request coalescing; see docs/serving.md).
-``repro bench-serve``
-    Network-tier load harness: drive a served knowledge base with
-    concurrent clients and emit ``BENCH_serve.json``.
-``repro bench-ingest``
-    Mixed append+query harness: concurrent clients query while a
-    writer publishes snapshots; emits ``BENCH_ingest.json``.
+    request coalescing; see docs/serving.md).  The served paths are
+    measured by the repository benchmark in ``perfbench/``.
 ``repro bench-persist``
     Storage harness: eager v1 loader vs lazy v2 container under a
     memory budget, peak RSS measured per child process; emits
@@ -72,15 +64,9 @@ from repro._version import __version__
 from repro.analysis.cli import add_lint_arguments, run_lint
 from repro.bench import (
     add_bench_arguments,
-    add_bench_ingest_arguments,
-    add_bench_online_arguments,
     add_bench_persist_arguments,
-    add_bench_serve_arguments,
     run_bench,
-    run_bench_ingest,
-    run_bench_online,
     run_bench_persist,
-    run_bench_serve,
 )
 from repro.common.errors import DataFormatError, ReproError
 from repro.core import (
@@ -268,12 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_bench_arguments(bench)
 
-    bench_online = commands.add_parser(
-        "bench-online",
-        help="serving-layer perf harness -> BENCH_online.json (see docs/serving.md)",
-    )
-    add_bench_online_arguments(bench_online)
-
     serve = commands.add_parser(
         "serve",
         help="serve a saved knowledge base over HTTP (see docs/serving.md)",
@@ -297,18 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="graceful-shutdown drain seconds "
                             f"(default: {DEFAULT_DRAIN_TIMEOUT:g})")
     _add_memory_budget_argument(serve)
-
-    bench_serve = commands.add_parser(
-        "bench-serve",
-        help="network-tier load harness -> BENCH_serve.json (see docs/benchmarks.md)",
-    )
-    add_bench_serve_arguments(bench_serve)
-
-    bench_ingest = commands.add_parser(
-        "bench-ingest",
-        help="mixed append+query harness -> BENCH_ingest.json (see docs/benchmarks.md)",
-    )
-    add_bench_ingest_arguments(bench_ingest)
 
     bench_persist = commands.add_parser(
         "bench-persist",
@@ -598,10 +566,7 @@ _COMMANDS = {
     "maras": _cmd_maras,
     "lint": run_lint,
     "bench": run_bench,
-    "bench-online": run_bench_online,
     "serve": _cmd_serve,
-    "bench-serve": run_bench_serve,
-    "bench-ingest": run_bench_ingest,
     "bench-persist": run_bench_persist,
 }
 

@@ -109,20 +109,3 @@ def min_max(values: Sequence[float]) -> tuple[float, float]:
         elif value > hi:
             hi = value
     return lo, hi
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of *values* (``q`` in [0, 100]).
-
-    The nearest-rank method always returns an observed value, which is
-    the convention latency reports want: ``percentile(lat, 99)`` is a
-    request that actually happened, not an interpolated phantom.  Raises
-    on an empty sequence or an out-of-range *q*.
-    """
-    if not values:
-        raise ValidationError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValidationError(f"percentile rank must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    rank = math.ceil(q / 100.0 * len(ordered))
-    return ordered[max(rank, 1) - 1]

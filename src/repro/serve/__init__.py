@@ -18,12 +18,11 @@ encoding)``, with gzip variants, weak ETags → 304 conditional
 answers, and chunked streaming for large bodies.
 
 See ``docs/serving.md`` for the wire-protocol reference and the
-operations handbook, and ``docs/benchmarks.md`` for the matching
-``repro bench-serve`` harness.
+operations handbook; the served paths are measured by the repository
+benchmark in ``perfbench/`` (``docs/benchmarks.md``).
 """
 
 from repro.serve.asgi import AsgiApp, create_asgi_app
-from repro.serve.client import ServeClient
 from repro.serve.coalesce import RequestCoalescer
 from repro.serve.gateway import (
     DEFAULT_POOL_SIZE,
@@ -71,7 +70,6 @@ __all__ = [
     "QueryGateway",
     "RequestCoalescer",
     "ResponseCache",
-    "ServeClient",
     "ServeConfig",
     "ServerMetrics",
     "TaraServer",

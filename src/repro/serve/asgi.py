@@ -16,10 +16,9 @@ extra to be installed.
 
 from __future__ import annotations
 
-from typing import Any, Awaitable, Callable, Mapping, MutableMapping, Optional
+from typing import Any, Awaitable, Callable, Mapping, MutableMapping
 
 from repro.serve.gateway import DEFAULT_POOL_SIZE, QueryGateway
-from repro.serve.metrics import ServerMetrics
 from repro.service.service import TaraService
 
 #: ASGI 3 message/callable shapes (stdlib spellings; no asgiref import).
@@ -37,11 +36,8 @@ class AsgiApp:
         service: TaraService,
         *,
         pool_size: int = DEFAULT_POOL_SIZE,
-        metrics: Optional[ServerMetrics] = None,
     ) -> None:
-        self.gateway = QueryGateway(
-            service, pool_size=pool_size, metrics=metrics
-        )
+        self.gateway = QueryGateway(service, pool_size=pool_size)
 
     async def __call__(
         self, scope: Scope, receive: Receive, send: Send

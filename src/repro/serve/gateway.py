@@ -258,7 +258,6 @@ class QueryGateway:
         service: TaraService,
         *,
         pool_size: int = DEFAULT_POOL_SIZE,
-        metrics: Optional[ServerMetrics] = None,
         response_cache_bytes: int = DEFAULT_RESPONSE_CACHE_BYTES,
     ) -> None:
         if pool_size < 1:
@@ -269,7 +268,7 @@ class QueryGateway:
         )
         self.pool_size = pool_size
         self.coalescer = RequestCoalescer()
-        self.metrics = metrics if metrics is not None else ServerMetrics()
+        self.metrics = ServerMetrics()
         self.respcache = ResponseCache(response_cache_bytes)
         self._draining = False
         # The source is loaded by now: move it out of the collector's

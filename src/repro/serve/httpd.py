@@ -7,8 +7,7 @@ Just enough HTTP for a JSON query service, implemented on
   without a length is treated as bodyless; no trailers, no upgrades);
 * ``Transfer-Encoding: chunked`` **response** bodies — the server
   streams large encoded answers chunk by chunk (:func:`render_head`
-  with ``chunked=True`` + :func:`chunk_frames` + :data:`LAST_CHUNK`)
-  and the client side of :func:`read_response` reassembles them;
+  with ``chunked=True`` + :func:`chunk_frames` + :data:`LAST_CHUNK`);
 * persistent connections per HTTP/1.1 defaults (``Connection: close``
   and HTTP/1.0 close after one exchange);
 * hard limits on request-line, header-block, and body sizes, mapped to
@@ -196,52 +195,3 @@ def chunk_frames(data: bytes) -> Tuple[bytes, bytes, bytes]:
 
 #: Terminating zero-length chunk of a chunked body (no trailers).
 LAST_CHUNK = b"0\r\n\r\n"
-
-
-async def _read_chunked_body(reader: asyncio.StreamReader) -> bytes:
-    """Client-side reassembly of a ``Transfer-Encoding: chunked`` body."""
-    parts = []
-    while True:
-        line = await reader.readuntil(b"\n")
-        size_text = line.decode("latin-1").strip().split(";", 1)[0]
-        try:
-            size = int(size_text, 16)
-        except ValueError as error:
-            raise WireError(400, f"bad chunk size {size_text!r}") from error
-        if size == 0:
-            await reader.readuntil(b"\n")  # trailing CRLF after last chunk
-            return b"".join(parts)
-        parts.append(await reader.readexactly(size))
-        await reader.readexactly(2)  # CRLF closing this chunk
-
-
-async def read_response(
-    reader: asyncio.StreamReader,
-) -> Tuple[int, Mapping[str, str], bytes]:
-    """Client-side: read one response as ``(status, headers, body)``.
-
-    Handles both framings the server emits — ``Content-Length`` and
-    ``Transfer-Encoding: chunked`` (reassembled into one byte string) —
-    plus bodyless 304 conditional answers.
-    """
-    line = await reader.readuntil(b"\n")
-    parts = line.decode("latin-1").strip().split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise WireError(400, f"malformed status line {line!r}")
-    try:
-        status = int(parts[1])
-    except ValueError as error:
-        raise WireError(400, f"malformed status code {parts[1]!r}") from error
-    headers: Dict[str, str] = {}
-    while True:
-        raw = await reader.readuntil(b"\n")
-        text = raw.decode("latin-1").rstrip("\r\n")
-        if not text:
-            break
-        name, _, value = text.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    if headers.get("transfer-encoding", "").lower() == "chunked":
-        return status, headers, await _read_chunked_body(reader)
-    length = int(headers.get("content-length", "0"))
-    body = await reader.readexactly(length) if length else b""
-    return status, headers, body

@@ -467,7 +467,7 @@ def encode_answer(query_class: str, answer: object) -> JsonDict:
     :func:`repro.service.keys.canonicalize`.  The encoding is
     deterministic (sorted windows, sorted neighbor directions), so two
     equal answers always serialize to the same JSON — the property the
-    ``bench-serve`` correctness gate compares on.
+    served == direct tests and perfbench's body verification compare on.
     """
     if query_class == "Q1":
         assert isinstance(answer, list)

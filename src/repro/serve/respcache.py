@@ -244,7 +244,7 @@ class ResponseCache:
     # observability
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, int]:
-        """Snapshot for the ``/metrics`` route and the bench harness."""
+        """Snapshot for the ``/metrics`` route."""
         return {
             "entries": len(self._entries),
             "budget_bytes": self.budget_bytes,

@@ -60,7 +60,7 @@ _DRAIN_POLL = 0.01
 class ServeConfig:
     """Tuning knobs of one server instance (see docs/serving.md).
 
-    ``port=0`` binds an ephemeral port — the bench harness and the test
+    ``port=0`` binds an ephemeral port — the benchmark and the test
     suite use that to run servers concurrently without collisions.
     """
 
@@ -123,8 +123,8 @@ class TaraServer:
         return str(host), int(port)
 
     async def start(self) -> None:
-        """Bind and start accepting connections."""
-        if self._server is not None:
+        """Bind and start accepting connections (once per server)."""
+        if self._server is not None or self._stopping:
             raise ValidationError("server already started")
         self._server = await asyncio.start_server(
             self._handle_connection,
@@ -140,6 +140,10 @@ class TaraServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            # The asyncio server holds this object's connection handler,
+            # a cycle only the cyclic collector would break; dropping it
+            # lets reference counting free a stopped server.
+            self._server = None
         ticker = Ticker()
         while (
             self._gateway.in_flight

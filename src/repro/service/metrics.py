@@ -3,11 +3,9 @@
 :class:`ServiceMetrics` accumulates, per query class (``Q1``, ``Q2``,
 ``Q3``, ``Q5``, plus the uncached passthrough classes), cache hit/miss
 counts and separate hit/miss latency histograms, together with global
-eviction and invalidation counters.  Everything is exposed twice: as a
-plain ``dict`` (:meth:`ServiceMetrics.as_dict`, for the bench harness's
-JSON artefacts) and as a human-readable text table
-(:meth:`ServiceMetrics.report`, styled after
-:meth:`repro.common.timing.PhaseTimer.report`).
+eviction and invalidation counters.  Everything is exposed as a plain
+``dict`` (:meth:`ServiceMetrics.as_dict`), which the ``service`` section
+of the serving tier's ``/metrics`` route carries.
 
 The metrics objects are plain mutable accumulators; like the cache they
 rely on :class:`repro.service.service.TaraService` for synchronization.
@@ -137,33 +135,3 @@ class ServiceMetrics:
             "invalidations": self.invalidations,
             "storage": dict(self.storage),
         }
-
-    def report(self, title: str = "serving metrics") -> str:
-        """Human-readable multi-line table, one row per query class.
-
-        Styled after :meth:`repro.common.timing.PhaseTimer.report`: an
-        indented aligned table under *title*, with the global eviction /
-        invalidation counters on the closing lines.
-        """
-        lines = [title]
-        width = max((len(name) for name in self._order), default=0)
-        for name in self._order:
-            hits = self.hits[name]
-            misses = self.misses[name]
-            total = hits + misses
-            ratio = hits / total if total else 0.0
-            hit_ms = self.hit_latency[name].mean_seconds * 1e3
-            miss_ms = self.miss_latency[name].mean_seconds * 1e3
-            lines.append(
-                f"  {name.ljust(width)}  {hits:6d} hit / {misses:6d} miss"
-                f"  ({ratio:6.1%})  hit {hit_ms:9.3f} ms"
-                f"  miss {miss_ms:9.3f} ms"
-            )
-        lines.append(f"  evictions      {self.evictions:6d}")
-        lines.append(f"  invalidations  {self.invalidations:6d}")
-        if self.storage:
-            lines.append("  storage")
-            storage_width = max(len(name) for name in self.storage)
-            for name, value in self.storage.items():
-                lines.append(f"    {name.ljust(storage_width)}  {value:10d}")
-        return "\n".join(lines)

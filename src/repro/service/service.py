@@ -88,11 +88,10 @@ class TaraService:
         source: ServiceSource,
         *,
         max_entries: int = 1024,
-        metrics: Optional[ServiceMetrics] = None,
     ) -> None:
         self._lock = threading.RLock()
         self._shared = RegionKeyedCache(max_entries=max_entries)  # repro-lint: guarded-by=_lock
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self._retired_seen = 0  # repro-lint: guarded-by=_lock
         # Exactly one of the two is set, in __init__, and never rebound:
         # either we front a publisher, or we hold one static snapshot
@@ -309,8 +308,8 @@ class TaraService:
     def uncached(self, query: ExplorerQuery) -> ExplorerAnswer:
         """Execute *query* on a pinned snapshot, bypassing both caches.
 
-        The bench harnesses use this to verify that cached answers
-        equal freshly computed ones before they write results.
+        The tests and the benchmark's body verification use this to
+        check that cached and served answers equal freshly computed ones.
         """
         with self.pin() as snapshot:
             canonical = canonicalize(

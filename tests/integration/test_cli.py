@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core import load_knowledge_base, save_knowledge_base
 
 
@@ -154,11 +154,12 @@ class TestMarasCommand:
 class TestBenchCommand:
     def test_quick_writes_schema_json(self, tmp_path, monkeypatch, capsys):
         import repro.bench as bench
+        import repro.bench.workloads as workloads
 
         # Shrink the quick workload so the matrix builds in well under a
         # second; the real sizes are calibrated for wall-clock signal,
         # not for the test suite.
-        monkeypatch.setitem(bench._WORKLOADS, "retail", (150, 3, 0.05, 0.30))
+        monkeypatch.setitem(workloads._WORKLOADS, "retail", (150, 3, 0.05, 0.30))
         out = tmp_path / "BENCH_offline.json"
         code = main(
             [
@@ -183,9 +184,9 @@ class TestBenchCommand:
         assert all("strategy" not in cell for cell in payload["results"])
 
     def test_miners_filter_restricts_matrix(self, tmp_path, monkeypatch):
-        import repro.bench as bench
+        import repro.bench.workloads as workloads
 
-        monkeypatch.setitem(bench._WORKLOADS, "retail", (150, 3, 0.05, 0.30))
+        monkeypatch.setitem(workloads._WORKLOADS, "retail", (150, 3, 0.05, 0.30))
         out = tmp_path / "BENCH_offline.json"
         code = main(
             [
@@ -209,6 +210,16 @@ class TestBenchCommand:
         code = main(["bench", "--quick", "--repeat", "0", "--out", "-"])
         assert code == 1
         assert "--repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "retired", ["bench-online", "bench-serve", "bench-ingest"]
+    )
+    def test_served_path_harnesses_are_unknown_commands(self, retired, capsys):
+        # perfbench/ measures the served paths; tier-1 holds their gates.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([retired])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestConvertAndKbInfo:
@@ -283,11 +294,12 @@ class TestConvertAndKbInfo:
 class TestBenchPersistCommand:
     def test_writes_schema_json_and_summary(self, tmp_path, monkeypatch, capsys):
         import repro.bench as bench
+        import repro.bench.workloads as workloads
 
-        # Same shrink trick as the other bench tests: a tiny retail
+        # Same shrink trick as the offline bench test: a tiny retail
         # workload keeps the build+probe matrix fast; the probe children
         # still run as real subprocesses measuring real RSS.
-        monkeypatch.setitem(bench._WORKLOADS, "retail", (150, 3, 0.05, 0.30))
+        monkeypatch.setitem(workloads._WORKLOADS, "retail", (150, 3, 0.05, 0.30))
         out = tmp_path / "BENCH_persist.json"
         summary = tmp_path / "summary.md"
         code = main(
@@ -426,38 +438,3 @@ class TestThresholdFlagUnification:
             )
         assert excinfo.value.code == 2
         assert "--minconf" in capsys.readouterr().err
-
-
-class TestBenchOnlineCommand:
-    def test_quick_writes_schema_json(self, tmp_path, monkeypatch, capsys):
-        import repro.bench as bench
-        import repro.bench.workloads as workloads
-
-        # Same shrink trick as the offline bench test: a tiny matrix
-        # keeps the cold/warm/verify loop well under a second.
-        monkeypatch.setitem(bench._WORKLOADS, "retail", (150, 3, 0.05, 0.30))
-        monkeypatch.setitem(workloads.ONLINE_SUPPORT_SWEEP, "retail", (0.06, 0.08))
-        monkeypatch.setitem(workloads.ONLINE_FIXED_CONFIDENCE, "retail", 0.4)
-        monkeypatch.setattr(workloads, "ONLINE_CONFIDENCE_SWEEP", (0.4,))
-        out = tmp_path / "BENCH_online.json"
-        code = main(["bench-online", "--quick", "--out", str(out), "--repeat", "2"])
-        assert code == 0
-        assert "serving metrics" in capsys.readouterr().out
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == bench.ONLINE_SCHEMA
-        assert payload["quick"] is True
-        assert payload["repeat"] == 2
-        classes = {cell["query_class"] for cell in payload["results"]}
-        assert classes == {"Q1", "Q2", "Q3", "Q5"}
-        assert all(cell["verified"] for cell in payload["results"])
-        assert set(payload["metrics"]) == {"retail"}
-        retail_metrics = payload["metrics"]["retail"]["classes"]
-        for query_class in classes:
-            stats = retail_metrics[query_class]
-            assert stats["hits"] + stats["misses"] > 0
-        assert payload["build_seconds"]["retail"] > 0
-
-    def test_invalid_repeat_is_domain_error(self, capsys):
-        code = main(["bench-online", "--quick", "--repeat", "0", "--out", "-"])
-        assert code == 1
-        assert "--repeat" in capsys.readouterr().err

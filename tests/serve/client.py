@@ -1,11 +1,10 @@
-"""A minimal asyncio HTTP/1.1 client for the serving tier.
+"""A minimal asyncio HTTP/1.1 client for the serving-tier tests.
 
-:class:`ServeClient` is the counterpart of the server's framing layer —
-one persistent connection, JSON envelopes in and out.  The bench-serve
-harness drives its concurrent workload through it, the test suite uses
-it for end-to-end assertions, and it doubles as a reference
-implementation of the wire protocol for external clients
-(docs/serving.md shows the equivalent ``curl`` spellings).
+:func:`read_response` is the client half of the server's framing layer
+(:mod:`repro.serve.httpd`), and :class:`ServeClient` wraps one
+persistent connection, JSON envelopes in and out, so the tests talk to
+a real :class:`repro.serve.TaraServer` exactly as an external client
+would (docs/serving.md shows the equivalent ``curl`` spellings).
 """
 
 from __future__ import annotations
@@ -13,13 +12,62 @@ from __future__ import annotations
 import asyncio
 import gzip
 import json
-from typing import Any, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.core.queries import ExplorerQuery
 from repro.data.transactions import Transaction
-from repro.serve.httpd import read_response
+from repro.serve.httpd import WireError
 from repro.serve.protocol import JsonDict, encode_batches, encode_request
+
+
+async def _read_chunked_body(reader: asyncio.StreamReader) -> bytes:
+    """Reassemble a ``Transfer-Encoding: chunked`` body."""
+    parts = []
+    while True:
+        line = await reader.readuntil(b"\n")
+        size_text = line.decode("latin-1").strip().split(";", 1)[0]
+        try:
+            size = int(size_text, 16)
+        except ValueError as error:
+            raise WireError(400, f"bad chunk size {size_text!r}") from error
+        if size == 0:
+            await reader.readuntil(b"\n")  # trailing CRLF after last chunk
+            return b"".join(parts)
+        parts.append(await reader.readexactly(size))
+        await reader.readexactly(2)  # CRLF closing this chunk
+
+
+async def read_response(
+    reader: asyncio.StreamReader,
+) -> Tuple[int, Mapping[str, str], bytes]:
+    """Read one response as ``(status, headers, body)``.
+
+    Handles both framings the server emits — ``Content-Length`` and
+    ``Transfer-Encoding: chunked`` (reassembled into one byte string) —
+    plus bodyless 304 conditional answers.
+    """
+    line = await reader.readuntil(b"\n")
+    parts = line.decode("latin-1").strip().split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
+        raise WireError(400, f"malformed status line {line!r}")
+    try:
+        status = int(parts[1])
+    except ValueError as error:
+        raise WireError(400, f"malformed status code {parts[1]!r}") from error
+    headers: Dict[str, str] = {}
+    while True:
+        raw = await reader.readuntil(b"\n")
+        text = raw.decode("latin-1").rstrip("\r\n")
+        if not text:
+            break
+        name, _, value = text.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    if headers.get("transfer-encoding", "").lower() == "chunked":
+        return status, headers, await _read_chunked_body(reader)
+    length = int(headers.get("content-length", "0"))
+    body = await reader.readexactly(length) if length else b""
+    return status, headers, body
 
 
 class ServeClient:
@@ -62,13 +110,12 @@ class ServeClient:
         """One full exchange: ``(status, response headers, body bytes)``.
 
         The body is returned decompressed (``Content-Encoding: gzip``
-        responses are gunzipped transparently) but otherwise raw — the
-        bench harness byte-verifies served bodies through this.
-        ``accept_gzip`` advertises gzip; *if_none_match* sends a
-        conditional request (a 304 answer has an empty body);
-        ``decompress=False`` returns compressed bodies verbatim so a
-        caller can keep gunzip cost out of a timed section.  Chunked
-        responses are reassembled by the framing layer.
+        responses are gunzipped transparently) but otherwise raw, so
+        tests can byte-verify served bodies.  ``accept_gzip`` advertises
+        gzip; *if_none_match* sends a conditional request (a 304 answer
+        has an empty body); ``decompress=False`` returns compressed
+        bodies verbatim.  Chunked responses are reassembled by
+        :func:`read_response`.
         """
         if self._closed:
             raise ProtocolError("client connection is closed")

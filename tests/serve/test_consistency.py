@@ -29,10 +29,11 @@ from repro.core import (
     ParameterSetting,
     TrajectoryQuery,
 )
-from repro.serve import ServeClient
 from repro.serve.gateway import QueryGateway
 from repro.serve.protocol import encode_answer, encode_request
 from repro.service import TaraService
+
+from tests.serve.client import ServeClient
 
 SETTING = ParameterSetting(min_support=0.03, min_confidence=0.2)
 

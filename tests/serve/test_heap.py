@@ -4,9 +4,9 @@ Building a gateway freezes the process heap, each served publish
 collects its own allocations once and freezes the survivors, and
 closing the gateway unfreezes it (``TaraServer.stop`` here; ASGI
 lifespan shutdown in ``test_asgi.py``).  Frozen objects are never
-cycle-collected, so a superseded snapshot's knowledge base must be
-freed by reference counting alone: the retirement test runs with the
-collector disabled.
+cycle-collected, so a superseded snapshot's knowledge base, and a
+stopped server with everything it serves, must be freed by reference
+counting alone: those tests run with the collector disabled.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ import gc
 import json
 import weakref
 
+import pytest
+
 import repro.serve.gateway as gateway_module
 import repro.service.service as service_module
+from repro.common.errors import ValidationError
 from repro.core import (
     CompareQuery,
     ContentQuery,
@@ -27,10 +30,12 @@ from repro.core import (
     RecommendQuery,
     TrajectoryQuery,
 )
-from repro.serve import ServeClient
+from repro.serve import ServeConfig, TaraServer
 from repro.serve.gateway import QueryGateway
 from repro.serve.protocol import encode_batches, encode_request
 from repro.service import TaraService
+
+from tests.serve.client import ServeClient
 
 CONFIG = GenerationConfig(0.02, 0.1, build_item_index=True)
 SETTING = ParameterSetting(min_support=0.03, min_confidence=0.2)
@@ -113,6 +118,28 @@ def test_server_freezes_the_heap_until_it_stops(
     assert counts["built"] > 0
     assert counts["appended"] > 0
     assert counts["stopped"] == 0
+
+
+def test_stopped_server_is_freed_by_reference_counting(small_windows):
+    async def scenario():
+        publisher = _publisher(small_windows)
+        knowledge_base = weakref.ref(publisher.knowledge_base)
+        server = TaraServer(TaraService(publisher), ServeConfig(port=0))
+        del publisher
+        await server.start()
+        client = await ServeClient.open(*server.address)
+        status, _ = await client.execute(QUERIES[0])
+        await client.aclose()
+        await server.stop()
+        with pytest.raises(ValidationError, match="already started"):
+            await server.start()
+        del server
+        return status, knowledge_base
+
+    gc.disable()
+    status, knowledge_base = asyncio.run(scenario())
+    assert status == 200
+    assert knowledge_base() is None
 
 
 def test_failed_publish_freezes_nothing(small_kb):

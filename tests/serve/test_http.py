@@ -16,10 +16,10 @@ from repro.core import (
     TrajectoryQuery,
 )
 from repro.data import PeriodSpec
-from repro.serve import ServeClient
-from repro.serve.httpd import read_response
 from repro.serve.protocol import encode_answer
 from repro.service import TaraService, canonicalize
+
+from tests.serve.client import ServeClient, read_response
 
 SETTING = ParameterSetting(min_support=0.03, min_confidence=0.2)
 TIGHTER = ParameterSetting(min_support=0.05, min_confidence=0.2)

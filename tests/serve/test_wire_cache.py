@@ -15,13 +15,32 @@ import json
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.core import ParameterSetting, TrajectoryQuery
+from repro.core import (
+    CompareQuery,
+    ContentQuery,
+    ParameterSetting,
+    RecommendQuery,
+    TrajectoryQuery,
+)
 from repro.serve import auto_pool_size, resolve_pool_size
-from repro.serve.client import ServeClient
-from repro.serve.protocol import encode_request
+from repro.serve.protocol import encode_answer_blob, encode_request
+from repro.service import TaraService
+
+from tests.serve.client import ServeClient
 
 SETTING = ParameterSetting(min_support=0.02, min_confidence=0.1)
 QUERY = TrajectoryQuery(setting=SETTING, anchor_window=0)
+
+#: One query of each class whose served bodies the byte cache holds.
+CLASS_QUERIES = {
+    "Q1": QUERY,
+    "Q2": CompareQuery(
+        first=SETTING,
+        second=ParameterSetting(min_support=0.03, min_confidence=0.1),
+    ),
+    "Q3": RecommendQuery(setting=SETTING),
+    "Q5": ContentQuery(setting=SETTING, items=(1, 2)),
+}
 
 
 def wire(query):
@@ -127,11 +146,23 @@ class TestResponseCacheOnTheWire:
 
 
 class TestGzipNegotiation:
-    def test_round_trip_and_cached_variant(self, small_kb, running_server):
-        target, payload = wire(QUERY)
+    @pytest.mark.parametrize("query_class", sorted(CLASS_QUERIES))
+    def test_round_trip_and_cached_variant(
+        self, small_kb, running_server, query_class
+    ):
+        query = CLASS_QUERIES[query_class]
+        target, payload = wire(query)
+        service = TaraService(small_kb)
+        # Served == direct: every body ends with the canonical encoding
+        # of a cache-bypassing execution.
+        answer_tail = (
+            b'"answer":'
+            + encode_answer_blob(query_class, service.uncached(query))
+            + b"}"
+        )
 
         async def scenario():
-            async with running_server(small_kb) as server:
+            async with running_server(service) as server:
                 client = await connect(server)
                 # Cold miss: identity even though the client accepts gzip.
                 _, cold_headers, cold = await client.exchange(
@@ -142,28 +173,47 @@ class TestGzipNegotiation:
                     "POST", target, payload, accept_gzip=True,
                     decompress=False,
                 )
+                variants = server.gateway.respcache.counters()["gzip_variants"]
                 _, _, repeat_raw = await client.exchange(
                     "POST", target, payload, accept_gzip=True,
                     decompress=False,
                 )
+                repeat_variants = server.gateway.respcache.counters()[
+                    "gzip_variants"
+                ]
+                _, identity_headers, identity = await client.exchange(
+                    "POST", target, payload
+                )
+                status_304, _, body_304 = await client.exchange(
+                    "POST", target, payload,
+                    if_none_match=identity_headers["etag"],
+                )
                 _, metrics = await client.metrics()
                 await client.aclose()
-                return cold_headers, cold, warm_headers, warm_raw, \
-                    repeat_raw, metrics
+                return (
+                    cold_headers, cold, warm_headers, warm_raw, repeat_raw,
+                    variants, repeat_variants, identity, status_304,
+                    body_304, metrics,
+                )
 
-        cold_headers, cold, warm_headers, warm_raw, repeat_raw, metrics = (
-            asyncio.run(scenario())
-        )
+        (
+            cold_headers, cold, warm_headers, warm_raw, repeat_raw,
+            variants, repeat_variants, identity, status_304, body_304,
+            metrics,
+        ) = asyncio.run(scenario())
         assert "content-encoding" not in cold_headers
         assert warm_headers.get("content-encoding") == "gzip"
         assert warm_headers.get("vary") == "Accept-Encoding"
-        warm = json.loads(gzip.decompress(warm_raw))
-        assert warm["cached"] is True
-        assert warm["answer"] == json.loads(cold)["answer"]
+        warm = gzip.decompress(warm_raw)
+        assert json.loads(warm)["cached"] is True
+        for body in (cold, warm, identity):
+            assert body.endswith(answer_tail)
         # Deterministic compression: the repeat body is byte-identical,
         # and the variant was compressed exactly once.
         assert repeat_raw == warm_raw
-        assert metrics["metrics"]["respcache"]["gzip_variants"] == 1
+        assert variants == repeat_variants == 1
+        assert status_304 == 304 and body_304 == b""
+        assert metrics["metrics"]["respcache"]["hits"] > 0
 
     def test_gzip_not_served_when_not_accepted(
         self, small_kb, running_server

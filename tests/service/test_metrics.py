@@ -62,14 +62,3 @@ class TestServiceMetrics:
         q2 = snapshot["classes"]["Q2"]
         assert q2["hits"] == 0 and q2["misses"] == 1
         assert q2["miss_latency"]["count"] == 1
-
-    def test_report_is_readable(self):
-        metrics = ServiceMetrics()
-        metrics.observe("Q1", hit=True, seconds=0.001)
-        metrics.observe("Q1", hit=False, seconds=0.01)
-        metrics.record_invalidations(1)
-        report = metrics.report("cache stats")
-        assert report.splitlines()[0] == "cache stats"
-        assert "Q1" in report
-        assert "invalidations" in report
-        assert "50.0%" in report

@@ -82,9 +82,14 @@ class TestAgainstExplorer:
     def test_cached_answers_match_direct_execution(self, small_kb, base_setting):
         service = TaraService(small_kb)
         explorer = TaraExplorer(small_kb)
+        tighter = ParameterSetting(
+            base_setting.min_support * 1.5, base_setting.min_confidence
+        )
         queries = [
             anchored(base_setting),
+            CompareQuery(first=base_setting, second=tighter),
             RecommendQuery(setting=base_setting),
+            ContentQuery(setting=base_setting, items=(1, 2)),
         ]
         for query in queries:
             cold = service.execute(query)

@@ -69,6 +69,9 @@ def test_every_public_method_is_documented(module_name):
         "repro.maras",
         "repro.mining",
         "repro.baselines",
+        "repro.bench",
+        "repro.serve",
+        "repro.service",
     ],
 )
 def test_all_exports_resolve(package_name):
