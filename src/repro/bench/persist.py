@@ -3,7 +3,8 @@
 Measures what the format-v2 container actually buys: for the retail
 workload at 1x and 10x scale it builds one knowledge base, saves it in
 both formats, then — **in a fresh child process per loader, so peak RSS
-is attributable** — loads it eagerly (v1) and lazily (v2 under a
+is attributable** (each child reads its own ``VmHWM``, see
+:func:`_peak_rss_bytes`) — loads it eagerly (v1) and lazily (v2 under a
 ``--memory-budget``), runs the Q1-Q5 probe suite cold and warm, and
 fingerprints every answer.
 
@@ -156,12 +157,23 @@ def probe_queries(
 
 
 def _peak_rss_bytes() -> int:
-    """This process's lifetime peak resident set size in bytes.
+    """This process's own peak resident set size in bytes.
 
-    ``ru_maxrss`` is kibibytes on Linux and bytes on macOS; it is a
-    monotonic high-water mark, which is exactly why every loader probe
-    runs in its own child process.
+    On Linux it is ``VmHWM`` from ``/proc/self/status``, the high-water
+    mark of this address space, which starts afresh at exec: a probe
+    child reports its loader's peak alone.  ``ru_maxrss`` does not — a
+    ``subprocess`` child inherits its parent's value across fork and
+    exec, so it would floor every probe at the harness's own RSS.  It
+    stays the fallback where ``/proc`` is absent (kibibytes on Linux,
+    bytes on macOS).
     """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak if sys.platform == "darwin" else peak * 1024
 

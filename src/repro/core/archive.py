@@ -21,22 +21,20 @@ entries in zigzag varints.  Window ids are strictly increasing so gaps
 are small positive ints; counts of a surviving rule drift slowly so
 deltas are near zero — the typical entry costs 4 bytes.
 
-The archive supports two modes:
-
-* **staged** — entries live in per-rule Python lists; appending windows
-  is O(1) per entry (used during the offline build and by the
-  incremental builder);
-* **sealed** — entries are frozen into the byte encoding;
-  :meth:`encoded_size_bytes` then reports the Figure 12 storage number.
-
-Reads work in both modes (sealed reads decode on the fly and are
-memoized per rule).
+In memory the archive is laid out by window, the shape of the v2
+container's window blocks: one *column* per window maps each rule
+archived there to its entry.  Windows are append-only and immutable
+once mined (the iPARAS model), so a column is filled by its own
+window's :meth:`TarArchive.record` calls and never changes afterwards;
+:meth:`TarArchive.clone` shares every column by reference, and a rule's
+series is gathered across the columns when it is read.  The byte
+encoding is produced on demand (:meth:`TarArchive.encoded_series`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import (
     UnknownRuleError,
@@ -44,6 +42,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.core.storage.codec import Entry, decode_series, encode_series
+from repro.core.storage.writer import WindowEntry
 from repro.data.periods import PeriodSpec
 from repro.mining.rules import RuleId, ScoredRule
 
@@ -125,12 +124,22 @@ class RolledUpMeasure:
 
 
 class TarArchive:
-    """Compact store of every rule's per-window parameter counts."""
+    """Compact store of every rule's per-window parameter counts.
+
+    One column per window, each a dict from rule id to the rule's
+    ``(window, rule count, antecedent count, consequent count)`` entry
+    there.  Only the *open* column — the one the latest
+    :meth:`begin_window` of this archive created — accepts
+    :meth:`record`; :meth:`seal` closes it, and every other column is
+    immutable.  :meth:`clone` copies the three window-indexed outer
+    lists and shares every column, so publishing a successor costs
+    O(windows), and readers of this archive never see the successor's
+    windows: they iterate their own column list, which nothing grows.
+    """
 
     def __init__(self) -> None:
-        self._staged: Dict[RuleId, List[Entry]] = {}
-        self._sealed: Dict[RuleId, bytes] = {}
-        self._decode_cache: Dict[RuleId, List[Entry]] = {}
+        self._columns: List[Dict[RuleId, Entry]] = []
+        self._open: Optional[Dict[RuleId, Entry]] = None
         self._window_sizes: List[int] = []
         # Per-window bound on the count of an unarchived itemset: an
         # itemset absent from window w was below the generation support
@@ -146,7 +155,7 @@ class TarArchive:
         return len(self._window_sizes)
 
     def begin_window(self, window_size: int, missing_count_bound: int) -> int:
-        """Open the next window; returns its index.
+        """Open the next window's column; returns its index.
 
         Args:
             window_size: ``|F(∅, D, T_i)|`` of the new window.
@@ -158,25 +167,30 @@ class TarArchive:
             raise ValidationError("window size and bound must be >= 0")
         self._window_sizes.append(window_size)
         self._missing_count_bounds.append(missing_count_bound)
+        self._open = {}
+        self._columns.append(self._open)
         return len(self._window_sizes) - 1
 
     def record(self, window: int, scored_rules: Iterable[ScoredRule]) -> int:
         """Archive one window's scored rules; returns entries written.
 
-        Must target the most recently opened window (the evolving-data
-        model appends monotonically).
+        Must target the open column: the most recent window this
+        archive opened and has not sealed (the evolving-data model
+        appends monotonically, and every other column is shared).
         """
-        if window != len(self._window_sizes) - 1:
+        column = self._open
+        if column is None or window != len(self._columns) - 1:
             raise UnknownWindowError(
-                f"can only record into the latest window "
-                f"{len(self._window_sizes) - 1}, got {window}"
+                f"can only record into the latest window opened on this "
+                f"archive ({len(self._columns) - 1}), got {window}"
             )
+        window_size = self._window_sizes[window]
         written = 0
         for scored in scored_rules:
-            if scored.window_size != self._window_sizes[window]:
+            if scored.window_size != window_size:
                 raise ValidationError(
                     f"scored rule window size {scored.window_size} does not "
-                    f"match archive window size {self._window_sizes[window]}"
+                    f"match archive window size {window_size}"
                 )
             if (
                 scored.antecedent_count < scored.rule_count
@@ -187,76 +201,54 @@ class TarArchive:
                     f"({scored.antecedent_count}, {scored.consequent_count}) "
                     f"below the rule count {scored.rule_count}"
                 )
-            series = self._staged.get(scored.rule_id)
-            if series is None:
-                if scored.rule_id in self._sealed:
-                    series = self._thaw(scored.rule_id)
-                else:
-                    series = []
-                    self._staged[scored.rule_id] = series
-            if series and series[-1][0] >= window:
+            if scored.rule_id in column:
                 raise ValidationError(
-                    f"rule {scored.rule_id} already recorded in window "
-                    f"{series[-1][0]} >= {window}"
+                    f"rule {scored.rule_id} already recorded in window {window}"
                 )
-            series.append(
-                (
-                    window,
-                    scored.rule_count,
-                    scored.antecedent_count,
-                    scored.consequent_count,
-                )
+            column[scored.rule_id] = (
+                window,
+                scored.rule_count,
+                scored.antecedent_count,
+                scored.consequent_count,
             )
             written += 1
         return written
 
-    def _thaw(self, rule_id: RuleId) -> List[Entry]:
-        """Reopen a sealed rule's series for appending."""
-        series = list(self._decode(rule_id))
-        del self._sealed[rule_id]
-        self._decode_cache.pop(rule_id, None)
-        self._staged[rule_id] = series
-        return series
+    def seal(self) -> None:
+        """Close the open column: from here on every column is immutable.
+
+        :meth:`record` is refused until the next :meth:`begin_window`.
+        Reads never need it; the offline build seals when it finishes.
+        """
+        self._open = None
 
     def clone(self) -> "TarArchive":
-        """An independent copy for copy-on-write snapshot publication.
+        """A successor for copy-on-write snapshot publication, in O(windows).
 
-        Recording into the clone can never disturb a reader of this
-        archive: staged per-rule series are list-copied (appends go to
-        the clone's lists), and — crucially — a :meth:`record` that
-        :meth:`_thaw`\\ s a sealed rule deletes it from the *clone's*
-        sealed dict only.  Sealed byte blobs are immutable and shared.
-        The decode memo starts empty; it is a cache, not state.
+        The successor shares every column by reference and copies only
+        the window-indexed outer lists, so the windows it then opens and
+        records are its own: nothing a reader of this archive iterates
+        ever grows.  The clone starts sealed — it can only record into
+        windows it opens itself.
         """
         copy = TarArchive()
-        copy._staged = {
-            rule_id: list(series) for rule_id, series in self._staged.items()
-        }
-        copy._sealed = dict(self._sealed)
+        copy._columns = list(self._columns)
         copy._window_sizes = list(self._window_sizes)
         copy._missing_count_bounds = list(self._missing_count_bounds)
         return copy
-
-    def seal(self) -> None:
-        """Freeze every staged series into its byte encoding."""
-        for rule_id, series in self._staged.items():
-            self._sealed[rule_id] = _encode_series(series)
-        self._staged.clear()
-        self._decode_cache.clear()
 
     # ------------------------------------------------------------------
     # read API
     # ------------------------------------------------------------------
     def __contains__(self, rule_id: RuleId) -> bool:
-        return rule_id in self._staged or rule_id in self._sealed
+        return any(rule_id in column for column in self._columns)
 
     def __len__(self) -> int:
-        return len(self._staged) + len(self._sealed)
+        return len(set().union(*self._columns))
 
     def rule_ids(self) -> Iterator[RuleId]:
-        """All rule ids with at least one archived entry."""
-        yield from self._staged
-        yield from self._sealed
+        """All rule ids with at least one archived entry, ascending."""
+        return iter(sorted(set().union(*self._columns)))
 
     def window_size(self, window: int) -> int:
         """``|F(∅, D, T_i)|`` for a recorded window."""
@@ -268,16 +260,31 @@ class TarArchive:
         self._check_window(window)
         return self._missing_count_bounds[window]
 
+    def window_entries(self, window: int) -> List[WindowEntry]:
+        """One window's ``(rule_id, counts...)`` rows, rule id ascending.
+
+        The v2 container's window-block shape; the persistence layer
+        writes these rows and transposes them into per-rule series.
+        """
+        self._check_window(window)
+        return [
+            (rule_id, rule_count, antecedent_count, consequent_count)
+            for rule_id, (_, rule_count, antecedent_count, consequent_count)
+            in sorted(self._columns[window].items())
+        ]
+
     def _entries(self, rule_id: RuleId) -> List[Entry]:
-        staged = self._staged.get(rule_id)
-        if staged is not None:
-            return staged
-        if rule_id in self._sealed:
-            return self._decode(rule_id)
-        raise UnknownRuleError(f"rule {rule_id} has no archived entries")
+        series = [
+            entry
+            for column in self._columns
+            if (entry := column.get(rule_id)) is not None
+        ]
+        if not series:
+            raise UnknownRuleError(f"rule {rule_id} has no archived entries")
+        return series
 
     def series_entries(self, rule_id: RuleId) -> List[Entry]:
-        """One rule's decoded entries (the ``SeriesSource`` read surface).
+        """One rule's entries, oldest window first (``SeriesSource`` read).
 
         Together with :meth:`encoded_series`, :meth:`rule_ids`,
         ``__contains__`` and ``__len__`` this makes the archive a
@@ -286,13 +293,6 @@ class TarArchive:
         in-memory archive and the mmap-backed sharded reader.
         """
         return self._entries(rule_id)
-
-    def _decode(self, rule_id: RuleId) -> List[Entry]:
-        cached = self._decode_cache.get(rule_id)
-        if cached is None:
-            cached = _decode_series(self._sealed[rule_id])
-            self._decode_cache[rule_id] = cached
-        return cached
 
     def series(self, rule_id: RuleId) -> List[WindowMeasure]:
         """The rule's full archived trajectory, oldest window first."""
@@ -394,36 +394,20 @@ class TarArchive:
     # ------------------------------------------------------------------
     def entry_count(self) -> int:
         """Total number of archived (rule, window) entries."""
-        total = sum(len(series) for series in self._staged.values())
-        total += sum(len(self._decode(rid)) for rid in self._sealed)
-        return total
+        return sum(len(column) for column in self._columns)
 
     def encoded_series(self, rule_id: RuleId) -> bytes:
-        """The byte encoding of one rule's series.
+        """The byte encoding of one rule's series, made on demand.
 
-        Sealed rules return their stored blob; staged rules are encoded
-        on the fly.  Used by the persistence layer's callers and by the
-        determinism tests, which compare builds at byte level.
+        Used by the determinism tests and the offline fingerprint, which
+        compare builds at byte level.
         """
-        blob = self._sealed.get(rule_id)
-        if blob is not None:
-            return blob
-        staged = self._staged.get(rule_id)
-        if staged is not None:
-            return _encode_series(staged)
-        raise UnknownRuleError(f"rule {rule_id} has no archived entries")
+        return _encode_series(self._entries(rule_id))
 
     def encoded_size_bytes(self) -> int:
-        """Bytes used by the sealed encodings (plus staged estimate).
-
-        Staged series are counted at their would-be encoded size so the
-        number is meaningful before :meth:`seal` as well.
-        """
-        sealed = sum(len(blob) for blob in self._sealed.values())
-        staged = sum(
-            len(_encode_series(series)) for series in self._staged.values()
-        )
-        return sealed + staged
+        """Bytes of every rule's series in the byte encoding (Figure 12)."""
+        windows = (self.window_entries(w) for w in range(self.window_count))
+        return sum(len(blob) for _, blob in encode_window_series(windows))
 
     def uncompressed_size_bytes(self) -> int:
         """Size of the naive representation the paper compares against:
@@ -436,6 +420,30 @@ class TarArchive:
             raise UnknownWindowError(
                 f"window {window} out of range [0, {len(self._window_sizes)})"
             )
+
+
+def encode_window_series(
+    windows: Iterable[Sequence[WindowEntry]],
+) -> List[Tuple[RuleId, bytes]]:
+    """Every rule's encoded series, rule id ascending, from window rows.
+
+    *windows* yields each window's ``(rule_id, counts...)`` rows in
+    window order (:meth:`TarArchive.window_entries`); one pass
+    transposes them into per-rule series, so no rule is gathered
+    across the windows on its own.
+    """
+    series: Dict[RuleId, List[Entry]] = {}
+    for window, rows in enumerate(windows):
+        for rule_id, rule_count, antecedent_count, consequent_count in rows:
+            entry = (window, rule_count, antecedent_count, consequent_count)
+            entries = series.get(rule_id)
+            if entries is None:
+                series[rule_id] = [entry]
+            else:
+                entries.append(entry)
+    return [
+        (rule_id, _encode_series(series[rule_id])) for rule_id in sorted(series)
+    ]
 
 
 # The series byte codec lives in repro.core.storage.codec (the v2

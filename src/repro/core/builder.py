@@ -129,16 +129,20 @@ class TaraKnowledgeBase:
     def clone(self) -> "TaraKnowledgeBase":
         """A private successor for copy-on-write snapshot publication.
 
-        Appending windows to the clone never disturbs readers of this
-        knowledge base: the catalog and archive are cloned (see their
-        ``clone`` docstrings for what is copied vs. shared), and the
-        window-indexed lists are copied at the outer level only — the
-        :class:`WindowSlice` objects and per-window id lists inside are
-        append-once and never mutated after construction, so sharing
-        them is what makes publication cost proportional to the archive
-        rather than to the raw data.  The phase timer is shared: it is
-        build-time accounting written only by the single publisher
-        thread, not query state.
+        O(windows): appending windows to the clone never disturbs
+        readers of this knowledge base, yet nothing per rule or per
+        entry is copied.  The archive clone shares every window's
+        column and the catalog clone shares the rule list, key table
+        and split-plan memo behind its own id bound (see their
+        ``clone`` docstrings).  The window-indexed lists here are
+        copied at the outer level only — the :class:`WindowSlice`
+        objects and per-window id lists inside are append-once and
+        never mutated after construction.  The phase timer is shared:
+        it is build-time accounting written only by the single
+        publisher thread, not query state.  Only the newest clone may
+        intern: a second clone of the same knowledge base raises on its
+        first new rule unless ``self.catalog.rollback()`` discarded what
+        the first one interned.
         """
         return TaraKnowledgeBase(
             config=self.config,

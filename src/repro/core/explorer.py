@@ -268,9 +268,14 @@ class TaraExplorer:
     ) -> TrajectorySummary:
         """Coverage/stability/std/trend of one rule over *spec*."""
         spec = self._spec(spec)
-        archive = self.knowledge_base.archive
-        measures = [archive.measure_at(rule_id, window) for window in spec]
-        return summarize_trajectory(rule_id, measures)
+        # One series read per rule, not one archive lookup per window.
+        archived = {
+            measure.window: measure
+            for measure in self.knowledge_base.archive.series(rule_id)
+        }
+        return summarize_trajectory(
+            rule_id, [archived.get(window) for window in spec]
+        )
 
     def top_rules(
         self,

@@ -19,12 +19,13 @@ against a private copy-on-write successor:
 2. the predecessor's knowledge base is cloned and the new batches are
    mined into the clone via :meth:`TaraBuilder.add_windows` (vertical
    kernel, under :func:`~repro.common.gcscope.paused_gc`).  The clone
-   is O(history), not O(delta): window slices, entry tuples and
-   interned :class:`~repro.mining.rules.Rule` values are shared, but
-   :meth:`TarArchive.clone` copies every staged series list (the
-   publisher's archive never seals, so that is every entry archived so
-   far) and :meth:`RuleCatalog.clone` copies the id table and rule
-   list;
+   is O(windows), so a publish is O(new window): the successor shares
+   every earlier window's archive column and EPS slice by reference,
+   and the catalog's append-only rule list and key table behind its own
+   id bound (:meth:`TarArchive.clone`, :meth:`RuleCatalog.clone`).  A
+   publish that raises calls :meth:`RuleCatalog.rollback` on the
+   predecessor's catalog, so the rules the discarded successor interned
+   leave the shared table and the next publish reuses their ids;
 3. a new snapshot wraps the successor and is *atomically swapped in*
    under the publisher lock; readers that pinned the predecessor keep
    answering against it, and it retires — cache segment and explorer
@@ -223,6 +224,11 @@ class IncrementalTara:
             successor.pin()
             with self._lock:
                 self._current = successor
+        except BaseException:
+            # The successor is discarded; take back what it interned
+            # into the catalog it shares with the predecessor.
+            predecessor.knowledge_base.catalog.rollback()
+            raise
         finally:
             with self._lock:
                 self._building = False

@@ -8,9 +8,9 @@ eagerly.  Instead:
   :class:`~repro.core.storage.reader.ShardedSeriesSource`: a rule
   lookup touches exactly one shard block (decoded series kept under the
   ``memory_budget`` LRU), never the whole file.  The archive is
-  read-only: windows arrive via copy-on-write snapshot publication
-  (:meth:`clone` materializes an appendable in-memory successor), never
-  by mutating the mapped file.
+  read-only: :meth:`ShardedArchive.clone` builds an appendable
+  in-memory successor whose columns come straight from the container's
+  window blocks; nothing mutates the mapped file.
 * :class:`LazyTaraKnowledgeBase` — materializes each window's
   :class:`~repro.core.regions.WindowSlice` from the container's window
   block on first touch, by the same count-native construction the v1
@@ -35,6 +35,7 @@ from repro.core.locations import group_by_counts
 from repro.core.regions import WindowSlice
 from repro.core.storage.codec import Entry
 from repro.core.storage.reader import ShardedSeriesSource
+from repro.core.storage.writer import WindowEntry
 from repro.data.periods import PeriodSpec
 from repro.mining.rules import RuleCatalog, RuleId, ScoredRule
 
@@ -43,9 +44,10 @@ class ShardedArchive(TarArchive):
     """A read-only ``TarArchive`` whose series live in a v2 container.
 
     Every read path of the base class funnels through ``_entries`` /
-    ``encoded_series`` / ``rule_ids``; overriding those four plus the
-    membership pair redirects the whole measure/roll-up API at the
-    mmap-backed source without duplicating any of its logic.
+    ``window_entries`` / ``encoded_series`` / ``rule_ids``; overriding
+    those four plus the membership pair redirects the whole
+    measure/roll-up API at the mmap-backed source without duplicating
+    any of its logic.
     """
 
     def __init__(
@@ -70,6 +72,10 @@ class ShardedArchive(TarArchive):
     def _entries(self, rule_id: RuleId) -> List[Entry]:
         return self._source.series_entries(rule_id)
 
+    def window_entries(self, window: int) -> List[WindowEntry]:
+        """One window's rows, decoded from its window block."""
+        return self._source.window_entries(window)
+
     def encoded_series(self, rule_id: RuleId) -> bytes:
         """One rule's canonical byte encoding, sliced out of the map."""
         return self._source.encoded_series(rule_id)
@@ -87,20 +93,22 @@ class ShardedArchive(TarArchive):
     def entry_count(self) -> int:
         """Total archived (rule, window) entries, from the meta counts.
 
-        Falls back to a full decode only when the container predates
-        the count hints (never for files this writer produced).
+        Falls back to decoding the window blocks only when the container
+        predates the count hints (never for files this writer produced).
         """
         hint = self._source.meta.get("counts", {}).get("entries")
         if isinstance(hint, int):
             return hint
-        return super().entry_count()
+        return sum(
+            len(self.window_entries(w)) for w in range(self.window_count)
+        )
 
     def encoded_size_bytes(self) -> int:
-        """Bytes of sealed series (the Figure 12 number), from meta."""
+        """Bytes of the encoded series (the Figure 12 number), from meta."""
         hint = self._source.meta.get("counts", {}).get("encoded_bytes")
         if isinstance(hint, int):
             return hint
-        return sum(len(self._source.encoded_series(r)) for r in self.rule_ids())
+        return super().encoded_size_bytes()
 
     # ------------------------------------------------------------------
     # writes: refused (the container is immutable); clone materializes
@@ -117,21 +125,21 @@ class ShardedArchive(TarArchive):
             "a sharded archive is read-only; clone() it to append windows"
         )
 
-    def seal(self) -> None:
-        """No-op: the container's series are already in sealed encoding."""
-
     def clone(self) -> TarArchive:
-        """An appendable in-memory successor holding every sealed blob.
+        """An appendable in-memory successor, one column per window block.
 
-        Copy-on-write publication needs an archive it can append to;
-        materializing the sealed blobs (not the decoded entries) keeps
-        the clone as compact as a freshly sealed eager archive.
+        Each column is built straight from the container's window block,
+        so no per-rule series is decoded or copied.
         """
         copy = TarArchive()
-        copy._sealed = {
-            rule_id: self._source.encoded_series(rule_id)
-            for rule_id in self._source.rule_ids()
-        }
+        copy._columns = [
+            {
+                rule_id: (window, rule_count, antecedent_count, consequent_count)
+                for rule_id, rule_count, antecedent_count, consequent_count
+                in self._source.window_entries(window)
+            }
+            for window in range(self.window_count)
+        ]
         copy._window_sizes = list(self._window_sizes)
         copy._missing_count_bounds = list(self._missing_count_bounds)
         return copy
@@ -223,20 +231,22 @@ class LazyTaraKnowledgeBase(TaraKnowledgeBase):
         """
         seen: set[RuleId] = set()
         for window in spec:
-            cached = self._window_rule_ids.get(window)
-            if cached is None:
-                if not 0 <= window < len(self.window_sizes):
-                    raise UnknownWindowError(
-                        f"window {window} out of range "
-                        f"[0, {len(self.window_sizes)})"
-                    )
-                cached = [
-                    entry[0]
-                    for entry in self._sharded.source.window_entries(window)
-                ]
-                self._window_rule_ids[window] = cached
-            seen.update(cached)
+            seen.update(self._rule_ids_in(window))
         return sorted(seen)
+
+    def _rule_ids_in(self, window: int) -> List[RuleId]:
+        """One window's archived rule ids (ascending), cached."""
+        cached = self._window_rule_ids.get(window)
+        if cached is None:
+            if not 0 <= window < len(self.window_sizes):
+                raise UnknownWindowError(
+                    f"window {window} out of range [0, {len(self.window_sizes)})"
+                )
+            cached = [
+                entry[0] for entry in self._sharded.window_entries(window)
+            ]
+            self._window_rule_ids[window] = cached
+        return cached
 
     def _scored_rules(self, window: int) -> List[ScoredRule]:
         """One window's scored rules, reconstructed from its window block."""
@@ -256,7 +266,7 @@ class LazyTaraKnowledgeBase(TaraKnowledgeBase):
                 consequent_count=consequent_count,
             )
             for rule_id, rule_count, antecedent_count, consequent_count
-            in self._sharded.source.window_entries(window)
+            in self._sharded.window_entries(window)
         ]
 
     # ------------------------------------------------------------------
@@ -265,23 +275,18 @@ class LazyTaraKnowledgeBase(TaraKnowledgeBase):
     def clone(self) -> TaraKnowledgeBase:
         """An appendable eager successor (for snapshot publication).
 
-        Ingest appends windows; the container cannot grow in place, so
-        the successor materializes every slice and window id list once.
-        The result is a plain in-memory knowledge base — subsequent
-        publications clone it cheaply as usual.
+        The container cannot grow in place, so the successor is a plain
+        in-memory knowledge base: its archive columns and window id
+        lists come from the window blocks, and every slice is
+        materialized once.  Its own clones are O(windows) as usual.
         """
+        windows = range(len(self.window_sizes))
         return TaraKnowledgeBase(
             config=self.config,
             catalog=self.catalog.clone(),
             archive=self._sharded.clone(),
-            slices=[self.slice(w) for w in range(len(self.window_sizes))],
-            rules_in_window=[
-                list(
-                    self._window_rule_ids.get(w)
-                    or [e[0] for e in self._sharded.source.window_entries(w)]
-                )
-                for w in range(len(self.window_sizes))
-            ],
+            slices=[self.slice(w) for w in windows],
+            rules_in_window=[self._rule_ids_in(w) for w in windows],
             window_sizes=list(self.window_sizes),
             timer=self.timer,
         )

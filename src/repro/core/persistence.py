@@ -32,12 +32,12 @@ from __future__ import annotations
 import base64
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.common.errors import DataFormatError
 from repro.common.gcscope import paused_gc
 from repro.common.timing import PhaseTimer
-from repro.core.archive import TarArchive, _decode_series
+from repro.core.archive import TarArchive, _decode_series, encode_window_series
 from repro.core.builder import GenerationConfig, TaraKnowledgeBase
 from repro.core.lazykb import LazyTaraKnowledgeBase
 from repro.core.locations import group_by_counts
@@ -48,8 +48,7 @@ from repro.core.storage.format import (
     MAGIC,
 )
 from repro.core.storage.reader import ShardedSeriesSource
-from repro.core.storage.writer import WindowEntry, write_container
-from repro.data.periods import PeriodSpec
+from repro.core.storage.writer import write_container
 from repro.mining.rules import Rule, RuleCatalog, ScoredRule
 
 #: The legacy eager JSON envelope.
@@ -67,9 +66,11 @@ def save_knowledge_base(
 ) -> int:
     """Write *knowledge_base* to *path*; returns bytes written.
 
-    The archive is sealed as a side effect (sealing is idempotent and
-    required so every series has its canonical encoding).
-    *shard_size* only applies to v2.
+    Saving only reads: a published snapshot shares its archive columns
+    and catalog with later snapshots, so it can be saved while the
+    publisher builds.  Both formats take each window's rows from
+    :meth:`TarArchive.window_entries` and encode every rule's series
+    from them in one pass.  *shard_size* only applies to v2.
     """
     if format_version == CONTAINER_FORMAT_VERSION:
         return _save_v2(knowledge_base, Path(path), shard_size)
@@ -114,29 +115,11 @@ def load_knowledge_base(
 def _save_v2(
     knowledge_base: TaraKnowledgeBase, path: Path, shard_size: int
 ) -> int:
-    knowledge_base.archive.seal()
     archive = knowledge_base.archive
-    rule_ids = sorted(archive.rule_ids())
-
-    per_window: List[List[WindowEntry]] = [
-        [] for _ in range(archive.window_count)
+    per_window = [
+        archive.window_entries(w) for w in range(archive.window_count)
     ]
-    encoded: List[Tuple[int, bytes]] = []
-    entry_count = 0
-    encoded_bytes = 0
-    for rule_id in rule_ids:
-        blob = archive.encoded_series(rule_id)
-        encoded.append((rule_id, blob))
-        encoded_bytes += len(blob)
-        for window, rule_count, antecedent_count, consequent_count in (
-            archive.series_entries(rule_id)
-        ):
-            per_window[window].append(
-                (rule_id, rule_count, antecedent_count, consequent_count)
-            )
-            entry_count += 1
-    # Iterating rules in ascending id keeps each window's rows sorted.
-
+    encoded = encode_window_series(per_window)
     meta = {
         "config": _config_payload(knowledge_base.config),
         "window_sizes": list(knowledge_base.window_sizes),
@@ -145,10 +128,10 @@ def _save_v2(
         ],
         "catalog": _catalog_payload(knowledge_base.catalog),
         "counts": {
-            "rules": len(rule_ids),
+            "rules": len(encoded),
             "windows": archive.window_count,
-            "entries": entry_count,
-            "encoded_bytes": encoded_bytes,
+            "entries": sum(len(rows) for rows in per_window),
+            "encoded_bytes": sum(len(blob) for _, blob in encoded),
         },
     }
     summary = write_container(
@@ -199,13 +182,9 @@ def _load_v2(
 # format v1: eager JSON envelope
 # ----------------------------------------------------------------------
 def _save_v1(knowledge_base: TaraKnowledgeBase, path: Path) -> int:
-    knowledge_base.archive.seal()
     archive = knowledge_base.archive
-    # candidate_rules reproduces the builder's per-window id lists for
-    # eager and lazy knowledge bases alike (sorted unique archived ids).
-    rules_in_window = [
-        knowledge_base.candidate_rules(PeriodSpec([w]))
-        for w in range(archive.window_count)
+    per_window = [
+        archive.window_entries(w) for w in range(archive.window_count)
     ]
     payload = {
         "format_version": FORMAT_VERSION,
@@ -214,13 +193,11 @@ def _save_v1(knowledge_base: TaraKnowledgeBase, path: Path) -> int:
         "missing_count_bounds": [
             archive.missing_count_bound(w) for w in range(archive.window_count)
         ],
-        "rules_in_window": rules_in_window,
+        "rules_in_window": [[row[0] for row in rows] for rows in per_window],
         "catalog": _catalog_payload(knowledge_base.catalog),
         "archive": {
-            str(rule_id): base64.b85encode(
-                archive.encoded_series(rule_id)
-            ).decode("ascii")
-            for rule_id in archive.rule_ids()
+            str(rule_id): base64.b85encode(blob).decode("ascii")
+            for rule_id, blob in encode_window_series(per_window)
         },
     }
     text = json.dumps(payload, separators=(",", ":"))

@@ -28,7 +28,7 @@ from repro.common.varint import (
     encode_uvarint,
 )
 
-#: One staged archive entry:
+#: One archive entry:
 #: (window, rule_count, antecedent_count, consequent_count).
 Entry = Tuple[int, int, int, int]
 

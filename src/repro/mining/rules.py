@@ -28,7 +28,7 @@ canonical instance is reused for every later window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from operator import itemgetter
 from typing import (
     Any,
@@ -121,7 +121,8 @@ class ScoredRule(NamedTuple):
 #: the candidate to be considered); ``interned`` starts as ``None`` and
 #: caches the ``(rule_id, Rule)`` pair once the split first passes the
 #: confidence threshold, so a replay in a later window touches no
-#: interning dict at all.  A plain list rather than a slotted class:
+#: interning dict at all (:meth:`RuleCatalog.rollback` resets it when it
+#: forgets that id).  A plain list rather than a slotted class:
 #: plans materialize one entry per consequent subset per distinct
 #: itemset, and a list literal plus a one-step unpack in the replay
 #: loop beats a Python-level ``__init__`` and four attribute loads.
@@ -225,45 +226,72 @@ class RuleCatalog:
     itemset alone, so sharing the catalog across windows lets every
     re-appearance of an itemset replay its plan instead of re-running
     ap-genrules.
+
+    Snapshot publication shares one catalog's state between views.
+    The rule list and key table are append-only and every :meth:`clone`
+    shares them; a view reads them through its own *bound*, the number
+    of rules it has seen, so ``len``, iteration, :meth:`get`,
+    :meth:`find` and :meth:`id_of` never show a rule a later view
+    interned.  Only the newest view interns, and the split-plan memo is
+    its scratch; interning through an older view raises.
+    :meth:`rollback` on a predecessor undoes a successor that will
+    never be published: the shared list and key table shrink back to
+    the predecessor's bound, and memoized splits forget rule ids past
+    it.
     """
 
     def __init__(self) -> None:
         self._rule_to_id: Dict[Tuple[Itemset, Itemset], RuleId] = {}
         self._rules: List[Rule] = []
         self._split_plans: Dict[Itemset, SplitPlan] = {}
+        self._bound = 0
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return self._bound
 
     def __iter__(self) -> Iterator[Rule]:
-        return iter(self._rules)
+        return islice(self._rules, self._bound)
 
     def clone(self) -> "RuleCatalog":
-        """An independent copy for copy-on-write snapshot publication.
+        """A view for a successor snapshot, in O(1).
 
-        The id table and rule list are copied (interning into the clone
-        never changes this catalog); the :class:`Rule` values themselves
-        are immutable and shared.  Split plans are derivation scratch —
-        replayed and overwritten during mining, never read by queries —
-        so the memo dict is copied shallowly: the clone reuses existing
-        plans but memoizes new itemsets privately.
+        It shares the rule list, key table and split-plan memo, and
+        starts at this view's bound; what it interns is invisible here.
         """
-        copy = RuleCatalog()
-        copy._rule_to_id = dict(self._rule_to_id)
-        copy._rules = list(self._rules)
-        copy._split_plans = dict(self._split_plans)
-        return copy
+        view = RuleCatalog()
+        view._rule_to_id = self._rule_to_id
+        view._rules = self._rules
+        view._split_plans = self._split_plans
+        view._bound = self._bound
+        return view
+
+    def rollback(self) -> None:
+        """Forget every rule interned past this view's bound.
+
+        For a publisher whose successor failed mid-build: the next
+        successor, cloned from this view again, reuses the same ids.
+        O(rules interned by the failed successor + memoized splits).
+        """
+        bound = self._bound
+        if len(self._rules) == bound:
+            return
+        for rule in self._rules[bound:]:
+            del self._rule_to_id[(rule.antecedent, rule.consequent)]
+        del self._rules[bound:]
+        for plan in self._split_plans.values():
+            for level in plan:
+                for split in level:
+                    interned = split[3]
+                    if interned is not None and interned[0] >= bound:
+                        split[3] = None
 
     def intern(self, rule: Rule) -> RuleId:
         """Return the id of *rule*, assigning the next id if unseen."""
         key = (rule.antecedent, rule.consequent)
         existing = self._rule_to_id.get(key)
-        if existing is not None:
+        if existing is not None and existing < self._bound:
             return existing
-        rule_id = len(self._rules)
-        self._rule_to_id[key] = rule_id
-        self._rules.append(rule)
-        return rule_id
+        return self._append(key, rule)[0]
 
     def intern_parts(self, antecedent: Itemset, consequent: Itemset) -> Tuple[RuleId, Rule]:
         """Intern by tuple key; construct the :class:`Rule` only on a miss.
@@ -275,12 +303,20 @@ class RuleCatalog:
         """
         key = (antecedent, consequent)
         existing = self._rule_to_id.get(key)
-        if existing is not None:
+        if existing is not None and existing < self._bound:
             return existing, self._rules[existing]
-        rule = Rule(antecedent, consequent)
-        rule_id = len(self._rules)
+        return self._append(key, Rule(antecedent, consequent))
+
+    def _append(self, key: Tuple[Itemset, Itemset], rule: Rule) -> Tuple[RuleId, Rule]:
+        rule_id = self._bound
+        if rule_id != len(self._rules):
+            raise ValidationError(
+                f"cannot intern through a catalog view of {rule_id} rules: "
+                f"a later view has grown the shared list to {len(self._rules)}"
+            )
         self._rule_to_id[key] = rule_id
         self._rules.append(rule)
+        self._bound = rule_id + 1
         return rule_id, rule
 
     def split_plan(self, itemset: Itemset) -> Optional[SplitPlan]:
@@ -299,14 +335,14 @@ class RuleCatalog:
 
     def id_of(self, rule: Rule) -> RuleId:
         """Id of an already-interned rule; raises if never seen."""
-        try:
-            return self._rule_to_id[(rule.antecedent, rule.consequent)]
-        except KeyError:
-            raise UnknownRuleError(f"rule {rule} was never interned") from None
+        rule_id = self.find(rule.antecedent, rule.consequent)
+        if rule_id is None:
+            raise UnknownRuleError(f"rule {rule} was never interned")
+        return rule_id
 
     def get(self, rule_id: RuleId) -> Rule:
         """The rule interned under *rule_id*; raises for unknown ids."""
-        if 0 <= rule_id < len(self._rules):
+        if 0 <= rule_id < self._bound:
             return self._rules[rule_id]
         raise UnknownRuleError(f"unknown rule id {rule_id}")
 
@@ -315,7 +351,10 @@ class RuleCatalog:
     ) -> Optional[RuleId]:
         """Id for the given sides, or ``None`` if the rule was never seen."""
         key = (canonical_itemset(antecedent), canonical_itemset(consequent))
-        return self._rule_to_id.get(key)
+        rule_id = self._rule_to_id.get(key)
+        if rule_id is None or rule_id >= self._bound:
+            return None
+        return rule_id
 
 
 def derive_rules(

@@ -5,9 +5,17 @@ import weakref
 
 import pytest
 
-from repro.common.errors import BuildInFlightError, ValidationError
+from repro.bench.offline import knowledge_base_fingerprint
+from repro.common.errors import (
+    BuildInFlightError,
+    UnknownRuleError,
+    ValidationError,
+)
 from repro.core import GenerationConfig, IncrementalTara, build_knowledge_base
+from repro.core.builder import TaraBuilder
 from repro.core.regions import ParameterSetting
+from repro.data import WindowedDatabase
+from repro.datagen import retail_dataset
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +205,88 @@ class TestReferenceCountedTeardown:
         incremental = IncrementalTara(config)
         incremental.publish([small_windows.window(0)])
         assert gc.get_freeze_count() == 0
+
+
+@pytest.fixture(scope="module")
+def retail_windows():
+    """Four windows of 500 retail transactions: later windows keep
+    introducing rules the earlier ones never derived."""
+    database = retail_dataset(transaction_count=2000, seed=11)
+    return WindowedDatabase.partition_by_count(database, 4)
+
+
+RETAIL = GenerationConfig(0.01, 0.3)
+
+
+class TestFailedPublish:
+    def test_failed_publish_leaves_no_interned_rules_behind(
+        self, retail_windows
+    ):
+        """A publish that raises after mining must not wedge the next.
+
+        The discarded successor interned thousands of new rules into
+        the catalog it shares with the predecessor; the retry must get
+        the same ids a from-scratch build assigns.
+        """
+        incremental = IncrementalTara(RETAIL)
+        incremental.publish([retail_windows.window(0), retail_windows.window(1)])
+        before = len(incremental.knowledge_base.catalog)
+        builder = incremental._builder
+        interned = []
+
+        def add_window_then_fail(knowledge_base, batch):
+            TaraBuilder.add_window(builder, knowledge_base, batch)
+            interned.append(len(knowledge_base.catalog) - before)
+            raise MemoryError("injected after the window was derived")
+
+        builder.add_window = add_window_then_fail  # instance shadow, test-only
+        with pytest.raises(MemoryError):
+            incremental.publish([retail_windows.window(2)])
+        del builder.add_window
+        assert interned[0] > 0
+        assert len(incremental.knowledge_base.catalog) == before
+        assert not incremental.snapshot_stats()["building"]
+
+        incremental.publish([retail_windows.window(2)])
+        incremental.publish([retail_windows.window(3)])
+        assert knowledge_base_fingerprint(
+            incremental.knowledge_base
+        ) == knowledge_base_fingerprint(
+            build_knowledge_base(retail_windows, RETAIL)
+        )
+
+
+class TestPublishIsODelta:
+    def test_successor_shares_every_earlier_window(self, retail_windows):
+        """A publish copies O(windows) references and O(new window)
+        entries; every earlier window's column, slice and id list and
+        the catalog's rule list and key table are the predecessor's
+        own objects."""
+        incremental = IncrementalTara(RETAIL)
+        incremental.publish([retail_windows.window(0), retail_windows.window(1)])
+        predecessor = incremental.knowledge_base
+        incremental.publish([retail_windows.window(2)])
+        successor = incremental.knowledge_base
+
+        old, new = predecessor.archive, successor.archive
+        for window in range(predecessor.window_count):
+            assert new._columns[window] is old._columns[window]
+            assert successor.slices[window] is predecessor.slices[window]
+            assert (
+                successor.rules_in_window[window]
+                is predecessor.rules_in_window[window]
+            )
+        assert successor.catalog._rules is predecessor.catalog._rules
+        assert successor.catalog._rule_to_id is predecessor.catalog._rule_to_id
+        # The only entries the successor owns are the new window's.
+        shared = {id(column) for column in old._columns}
+        owned = [c for c in new._columns if id(c) not in shared]
+        assert len(owned) == 1
+        assert sum(map(len, owned)) == len(successor.rules_in_window[2])
+        # The predecessor still reads through its own bound.
+        assert len(predecessor.catalog) < len(successor.catalog)
+        newest = len(successor.catalog) - 1
+        with pytest.raises(UnknownRuleError):
+            predecessor.catalog.get(newest)
+        rule = successor.catalog.get(newest)
+        assert predecessor.catalog.find(rule.antecedent, rule.consequent) is None

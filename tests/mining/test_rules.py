@@ -76,6 +76,53 @@ class TestRuleCatalog:
         assert list(catalog) == rules
 
 
+class TestCatalogViews:
+    """Clones share one rule list; each reads it through its own bound."""
+
+    def test_clone_hides_what_a_later_view_interns(self):
+        older = RuleCatalog()
+        older.intern(Rule((1,), (2,)))
+        newer = older.clone()
+        rule_id = newer.intern(Rule((3,), (4,)))
+        assert newer._rules is older._rules
+        assert (len(older), len(newer)) == (1, 2)
+        assert list(older) == [Rule((1,), (2,))]
+        assert older.find([3], [4]) is None
+        with pytest.raises(UnknownRuleError):
+            older.get(rule_id)
+        with pytest.raises(UnknownRuleError):
+            older.id_of(Rule((3,), (4,)))
+
+    def test_interning_through_an_older_view_raises(self):
+        older = RuleCatalog()
+        older.clone().intern(Rule((1,), (2,)))
+        with pytest.raises(ValidationError, match="later view"):
+            older.intern(Rule((5,), (6,)))
+        with pytest.raises(ValidationError, match="later view"):
+            older.intern_parts((1,), (2,))
+
+    def test_rollback_forgets_rules_and_memoized_ids(self):
+        older = RuleCatalog()
+        older.intern(Rule((1,), (2,)))
+        newer = older.clone()
+        derive_rules(mine_apriori([(3, 4), (3, 4), (4, 5)], 0.3), 0.0, catalog=newer)
+        assert len(newer) > 1
+        older.rollback()
+        assert len(older._rules) == 1
+        assert older.find([3], [4]) is None
+        assert all(
+            split[3] is None
+            for plan in older._split_plans.values()
+            for level in plan
+            for split in level
+        )
+        retry = older.clone()
+        scored = derive_rules(
+            mine_apriori([(3, 4), (3, 4), (4, 5)], 0.3), 0.0, catalog=retry
+        )
+        assert [s.rule_id for s in scored] == list(range(1, len(retry)))
+
+
 def brute_force_rules(transactions, min_support, min_confidence):
     """Directly enumerate all rules from brute-force frequent itemsets."""
     mined = mine_apriori(transactions, min_support)
