@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Union, overload
 
 from repro.common.errors import QueryError
-from repro.core.archive import WindowMeasure
 from repro.core.builder import TaraKnowledgeBase
 from repro.core.queries import (
     CompareQuery,
@@ -167,26 +166,28 @@ class TaraExplorer:
     def _trajectories(self, query: TrajectoryQuery) -> List[RuleTrajectory]:
         """Q1: rules matching the setting in the anchor window, tracked.
 
-        The anchor ruleset comes from the EPS slice; each rule's values
-        in the other requested windows are decoded from the archive
-        (``None`` where the rule was not archived).
+        The anchor ruleset comes from the EPS slice; each rule's entries
+        in the requested windows are read from the archive's
+        ``series_entries`` (eager columns or the lazy container alike)
+        and kept as counts.  One ``window_sizes`` tuple is shared by
+        every trajectory of the answer, so no per-window object is made.
         """
         setting, anchor_window = query.setting, query.anchor_window
         spec = self._spec(query.spec)
         archive = self.knowledge_base.archive
         catalog = self.knowledge_base.catalog
+        window_sizes = tuple((window, archive.window_size(window)) for window in spec)
         wanted = set(spec)
         result: List[RuleTrajectory] = []
         for rule_id in self.ruleset(setting, anchor_window):
-            # One series decode per rule, not one lookup per window.
-            measures: Dict[int, Optional[WindowMeasure]] = dict.fromkeys(spec)
-            for measure in archive.series(rule_id):
-                if measure.window in wanted:
-                    measures[measure.window] = measure
+            # One series read per rule, not one lookup per window.
+            entries = tuple(
+                entry
+                for entry in archive.series_entries(rule_id)
+                if entry[0] in wanted
+            )
             result.append(
-                RuleTrajectory(
-                    rule_id=rule_id, rule=catalog.get(rule_id), measures=measures
-                )
+                RuleTrajectory(rule_id, catalog.get(rule_id), entries, window_sizes)
             )
         return result
 

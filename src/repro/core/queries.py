@@ -17,6 +17,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.archive import RolledUpMeasure, WindowMeasure
 from repro.core.regions import ParameterSetting, StableRegion
+from repro.core.storage.codec import Entry
 from repro.data.items import ItemId
 from repro.data.periods import PeriodSpec
 from repro.mining.rules import Rule, RuleId
@@ -129,37 +130,60 @@ class MinedRule:
 
 @dataclass(frozen=True)
 class RuleTrajectory:
-    """Q1 answer element: a rule's parameter values across windows.
+    """Q1 answer element: a rule's archived counts across the spec's windows.
 
-    ``measures[w]`` is ``None`` for windows where the rule was not
-    archived (below generation thresholds there).
+    The answer keeps the archive's integer counts, not measure objects:
+
+    * ``entries`` — the rule's archive entries ``(window, rule count,
+      antecedent count, consequent count)`` in the spec's windows,
+      oldest window first.  A spec window without an entry is one where
+      the rule was not archived (below generation thresholds there).
+    * ``window_sizes`` — ``(window, |F(∅, D, T_w)|)`` for every window of
+      the spec, window ascending.  The explorer shares one such tuple
+      among all trajectories of an answer.
+
+    Both are tuples of ints, so a cached trajectory is immutable and
+    adds two collector-tracked objects (itself and ``entries``).  The
+    wire encoder formats rows straight from these counts; in-process
+    callers that want objects read :attr:`measures`.
     """
 
     rule_id: RuleId
     rule: Rule
-    # Mapping (not Dict): trajectories are cached frozen and shared
-    # across concurrent readers, so the field must stay read-only.
-    measures: Mapping[int, Optional[WindowMeasure]]
+    entries: Tuple[Entry, ...]
+    window_sizes: Tuple[Tuple[int, int], ...]
+
+    @property
+    def measures(self) -> Mapping[int, Optional[WindowMeasure]]:
+        """``{window: WindowMeasure or None}`` over the spec's windows.
+
+        Read-only and built on every read from :attr:`entries` and
+        :attr:`window_sizes` (``None`` where the rule was not archived);
+        the served path never reads it.
+        """
+        sizes = dict(self.window_sizes)
+        measures: Dict[int, Optional[WindowMeasure]] = dict.fromkeys(sizes)
+        for window, rule_count, antecedent_count, consequent_count in self.entries:
+            measures[window] = WindowMeasure(
+                window=window,
+                rule_count=rule_count,
+                antecedent_count=antecedent_count,
+                window_size=sizes[window],
+                consequent_count=consequent_count,
+            )
+        return measures
 
     def present_windows(self) -> Tuple[int, ...]:
         """Windows (sorted) in which the rule had archived values."""
-        return tuple(
-            sorted(w for w, measure in self.measures.items() if measure is not None)
-        )
+        return tuple(entry[0] for entry in self.entries)
 
     def support_series(self) -> List[float]:
         """Supports over present windows, in window order."""
-        return [
-            self.measures[w].support  # type: ignore[union-attr]
-            for w in self.present_windows()
-        ]
+        return [m.support for m in self.measures.values() if m is not None]
 
     def confidence_series(self) -> List[float]:
         """Confidences over present windows, in window order."""
-        return [
-            self.measures[w].confidence  # type: ignore[union-attr]
-            for w in self.present_windows()
-        ]
+        return [m.confidence for m in self.measures.values() if m is not None]
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,7 @@ import gzip
 import hashlib
 import json
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple, Union, cast
@@ -120,6 +121,9 @@ STREAM_THRESHOLD = 64 * 1024
 _GZIP_LEVEL = 6
 
 _VARY = ("Vary", "Accept-Encoding")
+
+#: An RFC 9110 qvalue: 0 to 1 with at most three decimals.
+_QVALUE = re.compile(r"0(?:\.[0-9]{0,3})?|1(?:\.0{0,3})?")
 
 
 def auto_pool_size() -> int:
@@ -195,17 +199,25 @@ def _etag_matches(header: Optional[str], etag: str) -> bool:
 
 
 def _accepts_gzip(headers: Optional[Mapping[str, str]]) -> bool:
-    """Minimal ``Accept-Encoding`` negotiation: is gzip acceptable?"""
+    """Minimal ``Accept-Encoding`` negotiation: is gzip acceptable?
+
+    A ``gzip`` coding is acceptable unless its weight is zero (RFC 9110
+    §12.4.2: ``q=0``, ``q=0.0``, ... ``q=0.000``; the parameter name is
+    case-insensitive).  A weight that is not a qvalue does not accept
+    gzip either: identity is always safe.
+    """
     if headers is None:
         return False
     accept = headers.get("accept-encoding", "")
     for token in accept.split(","):
-        name, _, params = token.strip().partition(";")
+        name, *params = token.split(";")
         if name.strip().lower() != "gzip":
             continue
-        quality = params.replace(" ", "")
-        if quality.startswith("q=0") and not quality.startswith("q=0."):
-            return False
+        for param in params:
+            key, _, value = param.partition("=")
+            if key.strip().lower() == "q":
+                value = value.strip()
+                return _QVALUE.fullmatch(value) is not None and float(value) > 0
         return True
     return False
 

@@ -25,12 +25,22 @@ def measure(window, rule_count=10, antecedent_count=20, window_size=100):
     )
 
 
+def entry(window, rule_count=10, antecedent_count=20):
+    """The archive entry of :func:`measure`'s counts."""
+    return (window, rule_count, antecedent_count, rule_count)
+
+
+#: ``(window, size)`` of windows 0-2, as the explorer shares per answer.
+SIZES = ((0, 100), (1, 100), (2, 100))
+
+
 class TestRuleTrajectory:
     def test_present_windows_sorted_and_filtered(self):
         trajectory = RuleTrajectory(
             rule_id=0,
             rule=Rule((1,), (2,)),
-            measures={2: measure(2), 0: None, 1: measure(1)},
+            entries=(entry(1), entry(2)),
+            window_sizes=SIZES,
         )
         assert trajectory.present_windows() == (1, 2)
 
@@ -38,21 +48,37 @@ class TestRuleTrajectory:
         trajectory = RuleTrajectory(
             rule_id=0,
             rule=Rule((1,), (2,)),
-            measures={
-                0: measure(0, rule_count=10),
-                1: None,
-                2: measure(2, rule_count=15, antecedent_count=20),
-            },
+            entries=(
+                entry(0, rule_count=10),
+                entry(2, rule_count=15, antecedent_count=20),
+            ),
+            window_sizes=SIZES,
         )
         assert trajectory.support_series() == [0.1, 0.15]
         assert trajectory.confidence_series() == [0.5, 0.75]
 
     def test_all_absent(self):
         trajectory = RuleTrajectory(
-            rule_id=0, rule=Rule((1,), (2,)), measures={0: None}
+            rule_id=0, rule=Rule((1,), (2,)), entries=(), window_sizes=((0, 100),)
         )
         assert trajectory.present_windows() == ()
         assert trajectory.support_series() == []
+
+    def test_measures_are_built_from_the_counts_on_read(self):
+        trajectory = RuleTrajectory(
+            rule_id=0,
+            rule=Rule((1,), (2,)),
+            entries=(entry(0), entry(2, rule_count=15)),
+            window_sizes=SIZES,
+        )
+        assert trajectory.measures == {
+            0: measure(0),
+            1: None,
+            2: measure(2, rule_count=15),
+        }
+        assert list(trajectory.measures) == [0, 1, 2]
+        with pytest.raises(AttributeError):
+            trajectory.measures = {}  # type: ignore[misc]
 
 
 class TestComparisonResult:

@@ -234,8 +234,13 @@ class TestReadsDuringIngest:
                 done = asyncio.Event()
 
                 async def read(client, offset):
+                    # A read that starts after ``done`` is set pins the
+                    # snapshot of the last acknowledged append, so each
+                    # reader makes exactly one such read before stopping.
                     turn = offset
-                    while not done.is_set():
+                    last = False
+                    while not last:
+                        last = done.is_set()
                         query_class, query = QUERIES[turn % len(QUERIES)]
                         started_in_build = in_build.is_set()
                         status, envelope = await client.execute(query)

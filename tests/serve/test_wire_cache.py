@@ -1,9 +1,10 @@
 """End-to-end wire-hot path: chunking, gzip, ETags, the byte cache.
 
-Everything here talks to a real :class:`TaraServer` over a real socket
-through :class:`ServeClient` — chunked reassembly, content negotiation,
-and conditional requests are exercised exactly as an external client
-would see them.
+Everything here but the ``Accept-Encoding`` weight table talks to a
+real :class:`TaraServer` over a real socket through :class:`ServeClient`
+— chunked reassembly, content negotiation, and conditional requests are
+exercised exactly as an external client would see them.  The weight
+table drives :meth:`QueryGateway.dispatch_wire` with raw header values.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core import (
     TrajectoryQuery,
 )
 from repro.serve import auto_pool_size, resolve_pool_size
+from repro.serve.gateway import QueryGateway
 from repro.serve.protocol import encode_answer_blob, encode_request
 from repro.service import TaraService
 
@@ -238,6 +240,59 @@ class TestGzipNegotiation:
         headers, body = asyncio.run(scenario())
         assert "content-encoding" not in headers
         assert json.loads(body)["cached"] is True
+
+
+class TestGzipWeights:
+    """RFC 9110 weights on a warm key whose gzip variant already exists."""
+
+    @pytest.mark.parametrize(
+        "accept, gzipped",
+        [
+            ("gzip;q=0", False),
+            ("gzip;q=0.0", False),
+            ("gzip;q=0.00", False),
+            ("gzip;q=0.000", False),
+            ("gzip;Q=0", False),
+            ("gzip ; q=0.0", False),
+            ("gzip;q=nope", False),
+            ("gzip;q=", False),
+            ("gzip;q=2", False),
+            ("gzip", True),
+            ("gzip;q=0.5", True),
+            ("identity, GZIP;Q=1.000", True),
+        ],
+    )
+    def test_weight_decides_the_encoding(self, small_kb, accept, gzipped):
+        target, payload = wire(QUERY)
+        body = json.dumps(payload).encode("utf-8")
+
+        async def scenario():
+            gateway = QueryGateway(TaraService(small_kb), pool_size=1)
+            try:
+                # A miss, then the first gzip hit stores the variant.
+                for _ in range(2):
+                    await gateway.dispatch_wire(
+                        "POST", target, body, {"accept-encoding": "gzip"}
+                    )
+                variants = gateway.respcache.counters()["gzip_variants"]
+                response = await gateway.dispatch_wire(
+                    "POST", target, body, {"accept-encoding": accept}
+                )
+            finally:
+                gateway.aclose()
+            return variants, response
+
+        variants, response = asyncio.run(scenario())
+        assert variants == 1
+        assert response.status == 200
+        headers = dict(response.headers)
+        if gzipped:
+            assert headers.get("Content-Encoding") == "gzip"
+            envelope = json.loads(gzip.decompress(response.body))
+        else:
+            assert "Content-Encoding" not in headers
+            envelope = json.loads(response.body)
+        assert envelope["cached"] is True
 
 
 class TestConditionalRequests:
