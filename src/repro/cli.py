@@ -57,8 +57,9 @@ import argparse
 import base64
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro._version import __version__
 from repro.analysis.cli import add_lint_arguments, run_lint
@@ -77,6 +78,7 @@ from repro.core import (
     ParameterSetting,
     RecommendQuery,
     TaraExplorer,
+    TaraKnowledgeBase,
     build_knowledge_base,
     load_knowledge_base,
     save_knowledge_base,
@@ -361,18 +363,23 @@ def _sniff_format(path: Path) -> int:
     return DEFAULT_FORMAT_VERSION if magic == MAGIC else FORMAT_VERSION
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
-    src_format = _sniff_format(Path(args.src))
-    knowledge_base = load_knowledge_base(
-        args.src, memory_budget=args.memory_budget
-    )
+@contextmanager
+def _loaded(path: str, memory_budget: Optional[int]) -> Iterator[TaraKnowledgeBase]:
+    """Load a knowledge base for one command; a v2 file is closed after."""
+    knowledge_base = load_knowledge_base(path, memory_budget=memory_budget)
     try:
-        written = save_knowledge_base(
-            knowledge_base, args.dst, shard_size=args.shard_size
-        )
+        yield knowledge_base
     finally:
         if isinstance(knowledge_base, LazyTaraKnowledgeBase):
             knowledge_base.close()
+
+
+def _cmd_convert(args: argparse.Namespace) -> int:
+    src_format = _sniff_format(Path(args.src))
+    with _loaded(args.src, args.memory_budget) as knowledge_base:
+        written = save_knowledge_base(
+            knowledge_base, args.dst, shard_size=args.shard_size
+        )
     src_bytes = Path(args.src).stat().st_size
     print(
         f"converted {args.src} (format v{src_format}, {src_bytes} bytes) "
@@ -443,17 +450,16 @@ def _kb_info_v1(path: Path) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    knowledge_base = load_knowledge_base(
-        args.kb, memory_budget=args.memory_budget
-    )
-    explorer = TaraExplorer(knowledge_base)
     from repro.data import PeriodSpec
 
-    window = (
-        args.window if args.window is not None else knowledge_base.window_count - 1
-    )
     setting = ParameterSetting(args.minsupp, args.minconf)
-    mined = explorer.mine(setting, PeriodSpec.single(window))[window]
+    with _loaded(args.kb, args.memory_budget) as knowledge_base:
+        window = (
+            args.window if args.window is not None else knowledge_base.window_count - 1
+        )
+        mined = TaraExplorer(knowledge_base).mine(
+            setting, PeriodSpec.single(window)
+        )[window]
     mined.sort(key=lambda rule: (-rule.confidence, -rule.support))
     print(f"{len(mined)} rules in window {window} at "
           f"(supp>={setting.min_support}, conf>={setting.min_confidence})")
@@ -466,14 +472,11 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
-    knowledge_base = load_knowledge_base(
-        args.kb, memory_budget=args.memory_budget
-    )
-    explorer = TaraExplorer(knowledge_base)
     setting = ParameterSetting(args.minsupp, args.minconf)
-    recommendation = explorer.execute(
-        RecommendQuery(setting=setting, window=args.window)
-    )
+    with _loaded(args.kb, args.memory_budget) as knowledge_base:
+        recommendation = TaraExplorer(knowledge_base).execute(
+            RecommendQuery(setting=setting, window=args.window)
+        )
     region = recommendation.region
     if region.is_empty:
         print("no rules at or above this setting in the window")
@@ -494,14 +497,11 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     first = ParameterSetting(args.minsupp, args.minconf)
     second = ParameterSetting(args.second_minsupp, args.second_minconf)
-    knowledge_base = load_knowledge_base(
-        args.kb, memory_budget=args.memory_budget
-    )
-    explorer = TaraExplorer(knowledge_base)
     mode = MatchMode.EXACT if args.mode == "exact" else MatchMode.SINGLE
-    result = explorer.execute(
-        CompareQuery(first=first, second=second, mode=mode)
-    )
+    with _loaded(args.kb, args.memory_budget) as knowledge_base:
+        result = TaraExplorer(knowledge_base).execute(
+            CompareQuery(first=first, second=second, mode=mode)
+        )
     print(
         f"{len(result.only_first)} rules only under the first setting, "
         f"{len(result.only_second)} only under the second "

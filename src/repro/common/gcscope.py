@@ -39,33 +39,88 @@ snapshot, its knowledge base and a dropped publisher hold no reference
 cycles (see :mod:`repro.core.incremental`).  The library layers never
 freeze a host's heap; only the gateway does.
 
-The pause is process-global, like the collector itself; nested scopes
-are safe (the inner scope sees the collector already disabled and
-leaves it so).
+**The paused phases.**  Each phase below only allocates objects it
+retains or acyclic temporaries that reference counting frees, so a
+collector pass inside it finds nothing to reclaim:
+
+* the offline build, window by window (:class:`repro.core.builder.TaraBuilder`);
+* saving a knowledge base in either format and loading a v1 file
+  (:mod:`repro.core.persistence`);
+* the first touch of a lazily loaded window, which materializes its EPS
+  slice (:meth:`repro.core.lazykb.LazyTaraKnowledgeBase.slice`);
+* each served publish (:func:`paused_then_frozen`).
+
+Leaving a scope costs nothing: the one young pass the collector then
+owes, over what the scope kept, runs at the next allocation after it.
+
+**Across threads.**  The pause is process-global, like the collector
+itself, and the phases above run on different threads: a publish on the
+publisher thread, a first touch on the event loop or a worker.  The
+scopes therefore share one count of active scopes, kept under a lock.
+The first scope to enter records whether the collector was enabled and
+disables it; the last one to exit restores that state.  Scopes may nest
+and interleave in any order, and none of them re-enables the collector
+while another is still inside.
 """
 
 from __future__ import annotations
 
 import gc
+import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from types import TracebackType
+from typing import Dict, Iterator, Optional, Type
+
+# The count of active paused_gc scopes in the process, and whether the
+# collector was enabled when the first of them entered.  Reentrant, so
+# a scope entered by a finalizer on the same thread cannot deadlock.
+_pause_lock = threading.RLock()
+_active_pauses = 0
+_enabled_before_pause = False
 
 
-@contextmanager
-def paused_gc() -> Iterator[None]:
+class _PausedCollector:
+    """The ``with`` target of :func:`paused_gc`; all state is module-level.
+
+    A plain class rather than a generator: leaving the scope allocates
+    nothing once the collector is back on, so the young pass it owes
+    for what the scope kept runs at the caller's next allocation, not
+    inside the scope's own exit.
+    """
+
+    def __enter__(self) -> None:
+        global _active_pauses, _enabled_before_pause
+        with _pause_lock:
+            if _active_pauses == 0:
+                _enabled_before_pause = gc.isenabled()
+                gc.disable()
+            _active_pauses += 1
+
+    def __exit__(
+        self,
+        exc_type: Optional[Type[BaseException]],
+        exc: Optional[BaseException],
+        traceback: Optional[TracebackType],
+    ) -> None:
+        global _active_pauses
+        with _pause_lock:
+            _active_pauses -= 1
+            if _active_pauses == 0 and _enabled_before_pause:
+                gc.enable()
+
+
+_PAUSED = _PausedCollector()
+
+
+def paused_gc() -> _PausedCollector:
     """Disable cyclic garbage collection inside the ``with`` block.
 
-    Restores the collector's previous enabled/disabled state on exit
-    (also on error), so nesting and already-disabled environments
-    behave as expected.
+    The first active scope in the process records the collector's
+    enabled/disabled state and disables it; the last scope to exit
+    (also on error) restores that state, whatever thread each runs on
+    (see the module docstring).
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+    return _PAUSED
 
 
 @contextmanager

@@ -21,8 +21,8 @@ from repro.core.locations import (
     CountLocation,
     Location,
     count_axes,
-    group_by_counts,
     group_by_location,
+    group_rows,
     location_of,
 )
 from repro.core.persistence import load_knowledge_base, save_knowledge_base
@@ -84,8 +84,8 @@ __all__ = [
     "CountLocation",
     "build_knowledge_base",
     "count_axes",
-    "group_by_counts",
     "group_by_location",
+    "group_rows",
     "load_knowledge_base",
     "location_of",
     "save_knowledge_base",

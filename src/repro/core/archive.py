@@ -237,6 +237,35 @@ class TarArchive:
         copy._missing_count_bounds = list(self._missing_count_bounds)
         return copy
 
+    @classmethod
+    def from_rows(
+        cls,
+        windows: Iterable[Sequence[WindowEntry]],
+        window_sizes: Sequence[int],
+        missing_count_bounds: Sequence[int],
+    ) -> "TarArchive":
+        """A sealed in-memory archive with one column per window's rows.
+
+        *windows* yields each window's ``(rule_id, counts...)`` rows in
+        window order, the :meth:`window_entries` shape the loaders
+        decode, one per window size; each column is built straight from
+        them, with no :class:`ScoredRule` per entry.  The rows must
+        already satisfy what :meth:`record` checks (unique ids, marginal
+        counts at least the rule count), as decoded rows do by
+        construction.
+        """
+        archive = TarArchive()
+        for window, (window_size, bound, rows) in enumerate(
+            zip(window_sizes, missing_count_bounds, windows, strict=True)
+        ):
+            archive.begin_window(window_size, bound)
+            archive._columns[window] = {
+                rule_id: (window, rule_count, antecedent_count, consequent_count)
+                for rule_id, rule_count, antecedent_count, consequent_count in rows
+            }
+        archive.seal()
+        return archive
+
     # ------------------------------------------------------------------
     # read API
     # ------------------------------------------------------------------
@@ -309,21 +338,29 @@ class TarArchive:
         ]
 
     def measure_at(self, rule_id: RuleId, window: int) -> Optional[WindowMeasure]:
-        """The rule's measures in one window, or ``None`` if unarchived there."""
+        """The rule's measures in one window, or ``None`` if unarchived there.
+
+        One read of the window's column; only a miss gathers the series,
+        to tell a rule absent from this window (``None``) from one
+        archived nowhere (:class:`UnknownRuleError`).
+        """
         self._check_window(window)
-        for entry in self._entries(rule_id):
-            entry_window, rule_count, antecedent_count, consequent_count = entry
-            if entry_window == window:
-                return WindowMeasure(
-                    window=window,
-                    rule_count=rule_count,
-                    antecedent_count=antecedent_count,
-                    window_size=self._window_sizes[window],
-                    consequent_count=consequent_count,
-                )
-            if entry_window > window:
-                return None
-        return None
+        entry = self._column_entry(rule_id, window)
+        if entry is None:
+            self._entries(rule_id)
+            return None
+        _, rule_count, antecedent_count, consequent_count = entry
+        return WindowMeasure(
+            window=window,
+            rule_count=rule_count,
+            antecedent_count=antecedent_count,
+            window_size=self._window_sizes[window],
+            consequent_count=consequent_count,
+        )
+
+    def _column_entry(self, rule_id: RuleId, window: int) -> Optional[Entry]:
+        """The rule's entry in one (checked) window's column, if any."""
+        return self._columns[window].get(rule_id)
 
     def windows_of(self, rule_id: RuleId) -> Tuple[int, ...]:
         """Windows in which the rule has archived entries."""

@@ -20,21 +20,19 @@ why no parallel build is offered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.common.errors import NotBuiltError, UnknownWindowError, ValidationError
 from repro.common.gcscope import paused_gc
 from repro.common.timing import PhaseTimer
 from repro.core.archive import TarArchive
-from repro.core.locations import group_by_counts
 from repro.core.regions import ParameterSetting, WindowSlice
-from repro.data.items import ItemId
 from repro.data.periods import PeriodSpec
 from repro.data.transactions import Transaction
 from repro.data.windows import WindowedDatabase
 from repro.mining import MINERS
 from repro.mining.itemsets import min_count_for
-from repro.mining.rules import RuleCatalog, RuleId, ScoredRule, derive_rules
+from repro.mining.rules import RuleCatalog, RuleId, derive_rules
 
 # Task names used in the Figure 9 breakdown.
 PHASE_ITEMSETS = "frequent itemset generation"
@@ -238,31 +236,23 @@ class TaraBuilder:
                 knowledge_base.archive.record(window, scored)
 
             with timer.phase(PHASE_EPS):
-                groups = group_by_counts(scored)
-                item_source = self._item_index_source(knowledge_base, scored)
-                window_slice = WindowSlice.from_count_groups(
+                # The window's archive rows, rule id ascending: the
+                # same rows the loaders rebuild a slice from.
+                rows = knowledge_base.archive.window_entries(window)
+                window_slice = WindowSlice.from_rows(
                     window,
                     window_size,
-                    groups,
+                    rows,
                     generation_setting=config.setting,
-                    item_index_source=item_source,
+                    catalog=(
+                        knowledge_base.catalog if config.build_item_index else None
+                    ),
                 )
 
             knowledge_base.slices.append(window_slice)
-            knowledge_base.rules_in_window.append(
-                sorted({s.rule_id for s in scored})
-            )
+            knowledge_base.rules_in_window.append([row[0] for row in rows])
             knowledge_base.window_sizes.append(window_size)
             return window_slice
-
-    def _item_index_source(
-        self,
-        knowledge_base: TaraKnowledgeBase,
-        scored: Sequence[ScoredRule],
-    ) -> Optional[Dict[RuleId, Sequence[ItemId]]]:
-        if not self.config.build_item_index:
-            return None
-        return {s.rule_id: s.rule.items for s in scored}
 
 
 def build_knowledge_base(

@@ -13,10 +13,10 @@ eagerly.  Instead:
   window blocks; nothing mutates the mapped file.
 * :class:`LazyTaraKnowledgeBase` — materializes each window's
   :class:`~repro.core.regions.WindowSlice` from the container's window
-  block on first touch, by the same count-native construction the v1
-  loader and the offline builder use, so every query answer is
-  byte-identical to the eager path (fingerprint-gated by
-  ``repro bench-persist``).
+  block on first touch, by the constructor the v1 loader and the
+  offline builder use (:meth:`~repro.core.regions.WindowSlice.from_rows`),
+  so every query answer is byte-identical to the eager path
+  (fingerprint-gated by ``repro bench-persist``).
 
 The catalog and the two top-level directories are the only state built
 at load time; resident size is O(rules) for the catalog plus the byte
@@ -28,26 +28,26 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from repro.common.errors import UnknownWindowError, ValidationError
+from repro.common.gcscope import paused_gc
 from repro.common.timing import PhaseTimer
 from repro.core.archive import TarArchive
 from repro.core.builder import GenerationConfig, TaraKnowledgeBase
-from repro.core.locations import group_by_counts
 from repro.core.regions import WindowSlice
 from repro.core.storage.codec import Entry
 from repro.core.storage.reader import ShardedSeriesSource
 from repro.core.storage.writer import WindowEntry
 from repro.data.periods import PeriodSpec
-from repro.mining.rules import RuleCatalog, RuleId, ScoredRule
+from repro.mining.rules import RuleCatalog, RuleId
 
 
 class ShardedArchive(TarArchive):
     """A read-only ``TarArchive`` whose series live in a v2 container.
 
     Every read path of the base class funnels through ``_entries`` /
-    ``window_entries`` / ``encoded_series`` / ``rule_ids``; overriding
-    those four plus the membership pair redirects the whole
-    measure/roll-up API at the mmap-backed source without duplicating
-    any of its logic.
+    ``_column_entry`` / ``window_entries`` / ``encoded_series`` /
+    ``rule_ids``; overriding those five plus the membership pair
+    redirects the whole measure/roll-up API at the mmap-backed source
+    without duplicating any of its logic.
     """
 
     def __init__(
@@ -71,6 +71,13 @@ class ShardedArchive(TarArchive):
     # ------------------------------------------------------------------
     def _entries(self, rule_id: RuleId) -> List[Entry]:
         return self._source.series_entries(rule_id)
+
+    def _column_entry(self, rule_id: RuleId, window: int) -> Optional[Entry]:
+        """The rule's entry in *window*, found in its (cached) series."""
+        for entry in self._entries(rule_id):
+            if entry[0] >= window:
+                return entry if entry[0] == window else None
+        return None
 
     def window_entries(self, window: int) -> List[WindowEntry]:
         """One window's rows, decoded from its window block."""
@@ -131,18 +138,11 @@ class ShardedArchive(TarArchive):
         Each column is built straight from the container's window block,
         so no per-rule series is decoded or copied.
         """
-        copy = TarArchive()
-        copy._columns = [
-            {
-                rule_id: (window, rule_count, antecedent_count, consequent_count)
-                for rule_id, rule_count, antecedent_count, consequent_count
-                in self._source.window_entries(window)
-            }
-            for window in range(self.window_count)
-        ]
-        copy._window_sizes = list(self._window_sizes)
-        copy._missing_count_bounds = list(self._missing_count_bounds)
-        return copy
+        return TarArchive.from_rows(
+            (self._source.window_entries(w) for w in range(self.window_count)),
+            self._window_sizes,
+            self._missing_count_bounds,
+        )
 
 
 class LazyTaraKnowledgeBase(TaraKnowledgeBase):
@@ -198,9 +198,11 @@ class LazyTaraKnowledgeBase(TaraKnowledgeBase):
     def slice(self, window: int) -> WindowSlice:
         """The EPS slice of one window, materialized on first touch.
 
-        Built from the container's window block by the same
-        count-native construction as the offline builder, so it is
-        bit-identical to the eager load's slice.
+        Built from the container's window block by
+        :meth:`WindowSlice.from_rows`, the offline builder's
+        constructor, so it is bit-identical to the eager load's slice.
+        The first touch runs under :func:`paused_gc`: it only allocates
+        the slice and id list it keeps and acyclic temporaries.
         """
         cached = self._slice_cache.get(window)
         if cached is not None:
@@ -209,17 +211,19 @@ class LazyTaraKnowledgeBase(TaraKnowledgeBase):
             raise UnknownWindowError(
                 f"window {window} out of range [0, {len(self.window_sizes)})"
             )
-        scored = self._scored_rules(window)
-        item_source: Optional[Dict[RuleId, object]] = None
-        if self.config.build_item_index:
-            item_source = {s.rule_id: s.rule.items for s in scored}
-        window_slice = WindowSlice.from_count_groups(
-            window,
-            self.window_sizes[window],
-            group_by_counts(scored),
-            generation_setting=self.config.setting,
-            item_index_source=item_source,  # type: ignore[arg-type]
-        )
+        config = self.config
+        with paused_gc():
+            rows = self._sharded.window_entries(window)
+            window_slice = WindowSlice.from_rows(
+                window,
+                self.window_sizes[window],
+                rows,
+                generation_setting=config.setting,
+                catalog=self.catalog if config.build_item_index else None,
+            )
+            # The same rows answer candidate_rules, so the block is
+            # decoded once per window.
+            self._window_rule_ids.setdefault(window, [row[0] for row in rows])
         self._slice_cache[window] = window_slice
         return window_slice
 
@@ -247,27 +251,6 @@ class LazyTaraKnowledgeBase(TaraKnowledgeBase):
             ]
             self._window_rule_ids[window] = cached
         return cached
-
-    def _scored_rules(self, window: int) -> List[ScoredRule]:
-        """One window's scored rules, reconstructed from its window block."""
-        size = self.window_sizes[window]
-        catalog_get = self.catalog.get
-        return [
-            ScoredRule(
-                rule_id=rule_id,
-                rule=catalog_get(rule_id),
-                support=rule_count / size if size else 0.0,
-                confidence=(
-                    rule_count / antecedent_count if antecedent_count else 0.0
-                ),
-                rule_count=rule_count,
-                antecedent_count=antecedent_count,
-                window_size=size,
-                consequent_count=consequent_count,
-            )
-            for rule_id, rule_count, antecedent_count, consequent_count
-            in self._sharded.window_entries(window)
-        ]
 
     # ------------------------------------------------------------------
     # copy-on-write publication

@@ -11,18 +11,19 @@ to be sound, so locations are keyed by rational values
 (``fractions.Fraction`` of the underlying integer counts), never by
 floats.
 
-The offline build uses the *count-native* grouping
-(:func:`group_by_counts` + :func:`count_axes`): within one window the
-window size ``n`` is fixed, so a rule's location is fully determined by
-the integer pair ``(rule_count, antecedent_count)`` — support is
-``rule_count / n`` and confidence is ``rule_count / antecedent_count``.
-Grouping by the gcd-normalized integer key gives the same exact rational
-identity as :func:`group_by_location` without constructing two
-``Fraction`` objects and a validated :class:`Location` per scored rule;
-``Fraction`` values (and their validation) are built only for the few
-distinct cut-grid coordinates.  The ``Fraction``-keyed functions remain
-the reference implementation (property-tested equivalent) and serve
-non-hot callers.
+Every EPS slice is built by the *count-native* grouping
+(:func:`group_rows` + :func:`count_axes`) straight from the window's
+archive rows: within one window the window size ``n`` is fixed, so a
+rule's location is fully determined by the integer pair
+``(rule_count, antecedent_count)`` — support is ``rule_count / n`` and
+confidence is ``rule_count / antecedent_count``.  Grouping rows by that
+raw pair and gcd-normalizing each distinct pair once gives the same
+exact rational identity as :func:`group_by_location` without
+constructing two ``Fraction`` objects and a validated :class:`Location`
+per rule; ``Fraction`` values (and their validation) are built only for
+the few distinct cut-grid coordinates.  The ``Fraction``-keyed functions
+remain the reference implementation (property-tested equivalent) and
+serve non-hot callers.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from math import gcd
 from typing import Dict, Iterable, List, Tuple
 
 from repro.common.errors import ValidationError
+from repro.core.storage.writer import WindowEntry
 from repro.mining.rules import RuleId, ScoredRule
 
 #: Count-native location key: ``(rule_count, p, q)`` where ``p/q`` is
@@ -117,43 +119,43 @@ def distinct_axes(
     return supports, confidences
 
 
-@lru_cache(maxsize=1 << 16)
-def _normalized_confidence(rule_count: int, antecedent_count: int) -> Tuple[int, int]:
-    """Gcd-normalize ``rule_count / antecedent_count`` to coprime ``(p, q)``.
+def group_rows(rows: Iterable[WindowEntry]) -> Dict[CountLocation, List[RuleId]]:
+    """Count-native Lemma 2 grouping of one window's archive rows.
 
-    Cached on the *raw* pair so the per-rule cost of the count-native
-    grouping is a single cache hit; the gcd runs once per distinct pair
-    per process (the cache is bounded, shared across windows and
-    builds — normalization is a pure function of the pair).
+    *rows* are the window's ``(rule_id, rule_count, antecedent_count,
+    consequent_count)`` rows, the archive's
+    :meth:`~repro.core.archive.TarArchive.window_entries` shape.  Rows
+    are bucketed by their raw ``(rule_count, antecedent_count)`` pair
+    and each distinct pair is gcd-normalized once into its
+    :data:`CountLocation` key, so the per-row cost is one dict access.
+    Exactly :func:`group_by_location` under the key bijection
+    (property-tested); rule ids ascend within each location.
     """
-    divisor = gcd(rule_count, antecedent_count)
-    return rule_count // divisor, antecedent_count // divisor
-
-
-def group_by_counts(
-    scored_rules: Iterable[ScoredRule],
-) -> Dict[CountLocation, List[RuleId]]:
-    """Count-native Lemma 2 grouping: location key -> sorted rule ids.
-
-    Exactly :func:`group_by_location` under the key bijection described
-    at :data:`CountLocation` (property-tested), but allocation-free per
-    rule: one cache hit for the normalized confidence pair and one dict
-    access, no ``Fraction`` or :class:`Location` construction.
-    """
-    groups: Dict[CountLocation, List[RuleId]] = {}
-    groups_get = groups.get
-    normalized = _normalized_confidence
-    # ScoredRule is a NamedTuple; positional unpacking replaces four
-    # attribute lookups per rule in this per-scored-rule loop.
-    for rule_id, _, _, _, rule_count, antecedent_count, window_size, _ in scored_rules:
-        if window_size == 0:
-            raise ValidationError("cannot locate a rule mined from an empty window")
-        key = (rule_count, *normalized(rule_count, antecedent_count))
-        bucket = groups_get(key)
+    by_pair: Dict[Tuple[int, int], List[RuleId]] = {}
+    by_pair_get = by_pair.get
+    for rule_id, rule_count, antecedent_count, _ in rows:
+        pair = (rule_count, antecedent_count)
+        bucket = by_pair_get(pair)
         if bucket is None:
-            groups[key] = [rule_id]
+            by_pair[pair] = [rule_id]
         else:
             bucket.append(rule_id)
+    groups: Dict[CountLocation, List[RuleId]] = {}
+    for (rule_count, antecedent_count), rule_ids in by_pair.items():
+        if antecedent_count < 1:
+            raise ValidationError(
+                f"rule {rule_ids[0]}: confidence undefined for antecedent "
+                f"count {antecedent_count}"
+            )
+        divisor = gcd(rule_count, antecedent_count)
+        key = (rule_count, rule_count // divisor, antecedent_count // divisor)
+        bucket = groups.get(key)
+        if bucket is None:
+            groups[key] = rule_ids
+        else:
+            # Only zero-count pairs meet here: 0/3 and 0/7 are one
+            # confidence.
+            bucket.extend(rule_ids)
     for rule_ids in groups.values():
         rule_ids.sort()
     return groups
@@ -193,9 +195,11 @@ def count_axes(
     Returns ``(supports, confidences, support_rank, confidence_rank)``:
     the sorted exact axes plus the rank of each distinct rule count /
     normalized confidence pair on them — everything
-    :meth:`repro.core.regions.WindowSlice.from_count_groups` needs to
-    place rows without touching ``Fraction`` again.
+    :meth:`repro.core.regions.WindowSlice.from_rows` needs to place
+    rows without touching ``Fraction`` again.
     """
+    if window_size < 1 and groups:
+        raise ValidationError("cannot locate a rule mined from an empty window")
     rule_counts = sorted({key[0] for key in groups})
     confidence_pairs = {(key[1], key[2]) for key in groups}
     for rule_count in rule_counts:

@@ -40,7 +40,6 @@ from repro.common.timing import PhaseTimer
 from repro.core.archive import TarArchive, _decode_series, encode_window_series
 from repro.core.builder import GenerationConfig, TaraKnowledgeBase
 from repro.core.lazykb import LazyTaraKnowledgeBase
-from repro.core.locations import group_by_counts
 from repro.core.regions import WindowSlice
 from repro.core.storage.format import (
     CONTAINER_FORMAT_VERSION,
@@ -48,8 +47,8 @@ from repro.core.storage.format import (
     MAGIC,
 )
 from repro.core.storage.reader import ShardedSeriesSource
-from repro.core.storage.writer import write_container
-from repro.mining.rules import Rule, RuleCatalog, ScoredRule
+from repro.core.storage.writer import WindowEntry, write_container
+from repro.mining.rules import Rule, RuleCatalog
 
 #: The legacy eager JSON envelope.
 FORMAT_VERSION = 1
@@ -70,16 +69,19 @@ def save_knowledge_base(
     and catalog with later snapshots, so it can be saved while the
     publisher builds.  Both formats take each window's rows from
     :meth:`TarArchive.window_entries` and encode every rule's series
-    from them in one pass.  *shard_size* only applies to v2.
+    from them in one pass.  *shard_size* only applies to v2.  The save
+    runs under :func:`paused_gc`: it allocates only acyclic temporaries,
+    so a collector pass would rescan the knowledge base for nothing.
     """
-    if format_version == CONTAINER_FORMAT_VERSION:
-        return _save_v2(knowledge_base, Path(path), shard_size)
-    if format_version == FORMAT_VERSION:
+    if format_version not in (FORMAT_VERSION, CONTAINER_FORMAT_VERSION):
+        raise DataFormatError(
+            f"unknown knowledge-base format version {format_version!r} "
+            f"(known: {FORMAT_VERSION}, {CONTAINER_FORMAT_VERSION})"
+        )
+    with paused_gc():
+        if format_version == CONTAINER_FORMAT_VERSION:
+            return _save_v2(knowledge_base, Path(path), shard_size)
         return _save_v1(knowledge_base, Path(path))
-    raise DataFormatError(
-        f"unknown knowledge-base format version {format_version!r} "
-        f"(known: {FORMAT_VERSION}, {CONTAINER_FORMAT_VERSION})"
-    )
 
 
 def load_knowledge_base(
@@ -93,6 +95,7 @@ def load_knowledge_base(
     loads lazily (see the module docstring); *memory_budget* bounds its
     resident decoded series in bytes.  A v1 envelope loads eagerly and
     ignores *memory_budget* (everything is resident by construction).
+    Both loads run under :func:`paused_gc`, like the offline build.
     The build timer is not persisted (it described the original
     machine's offline run).
     """
@@ -104,9 +107,13 @@ def load_knowledge_base(
         raise DataFormatError(
             f"cannot read knowledge base from {file_path}: {error}"
         ) from error
-    if head == MAGIC:
-        return _load_v2(file_path, memory_budget)
-    return _load_v1(file_path)
+    # Either load only allocates what it keeps (the catalog, the v1
+    # rebuild) and acyclic temporaries, so collector passes would only
+    # rescan it.
+    with paused_gc():
+        if head == MAGIC:
+            return _load_v2(file_path, memory_budget)
+        return _load_v1(file_path)
 
 
 # ----------------------------------------------------------------------
@@ -224,70 +231,47 @@ def _load_v1(path: Path) -> TaraKnowledgeBase:
 
     window_sizes = list(payload["window_sizes"])
     bounds = list(payload["missing_count_bounds"])
-    rules_in_window = [list(rule_ids) for rule_ids in payload["rules_in_window"]]
-    if not (len(window_sizes) == len(bounds) == len(rules_in_window)):
+    if not (len(window_sizes) == len(bounds) == len(payload["rules_in_window"])):
         raise DataFormatError("inconsistent window bookkeeping in saved file")
 
-    # Decode every rule's series once; group per window for the slices.
-    series_by_rule = {}
-    for rule_id_text, blob_text in payload["archive"].items():
-        rule_id = int(rule_id_text)
+    # Transpose every rule's series into per-window rows; ascending rule
+    # ids keep each window's rows in id order.
+    rows: List[List[WindowEntry]] = [[] for _ in window_sizes]
+    blobs = sorted((int(key), text) for key, text in payload["archive"].items())
+    for rule_id, blob_text in blobs:
+        if not 0 <= rule_id < len(catalog):
+            raise DataFormatError(f"archived rule {rule_id} is not in the catalog")
         blob = base64.b85decode(blob_text.encode("ascii"))
-        series_by_rule[rule_id] = _decode_series(blob)
-
-    archive = TarArchive()
-    per_window_scored: List[List[ScoredRule]] = [[] for _ in window_sizes]
-    for rule_id, series in series_by_rule.items():
-        rule = catalog.get(rule_id)
-        for window, rule_count, antecedent_count, consequent_count in series:
-            if not 0 <= window < len(window_sizes):
+        previous_window = -1
+        for window, rule_count, antecedent_count, consequent_count in (
+            _decode_series(blob)
+        ):
+            if not previous_window < window < len(window_sizes):
                 raise DataFormatError(
-                    f"rule {rule_id} references unknown window {window}"
+                    f"rule {rule_id} references unknown or repeated window {window}"
                 )
-            n = window_sizes[window]
-            per_window_scored[window].append(
-                ScoredRule(
-                    rule_id=rule_id,
-                    rule=rule,
-                    support=rule_count / n if n else 0.0,
-                    confidence=(
-                        rule_count / antecedent_count if antecedent_count else 0.0
-                    ),
-                    rule_count=rule_count,
-                    antecedent_count=antecedent_count,
-                    window_size=n,
-                    consequent_count=consequent_count,
-                )
-            )
+            previous_window = window
+            rows[window].append((rule_id, rule_count, antecedent_count, consequent_count))
 
-    knowledge_base = TaraKnowledgeBase(
-        config=config, catalog=catalog, archive=archive, timer=PhaseTimer()
+    item_catalog = catalog if config.build_item_index else None
+    return TaraKnowledgeBase(
+        config=config,
+        catalog=catalog,
+        archive=TarArchive.from_rows(rows, window_sizes, bounds),
+        slices=[
+            WindowSlice.from_rows(
+                window,
+                window_sizes[window],
+                window_rows,
+                generation_setting=config.setting,
+                catalog=item_catalog,
+            )
+            for window, window_rows in enumerate(rows)
+        ],
+        rules_in_window=[[row[0] for row in window_rows] for window_rows in rows],
+        window_sizes=window_sizes,
+        timer=PhaseTimer(),
     )
-    # Bulk rebuild: every allocation below is retained, so pause the
-    # cyclic collector exactly as the builder does.
-    with paused_gc():
-        for window, (size, bound) in enumerate(zip(window_sizes, bounds)):
-            archive.begin_window(size, bound)
-            scored = sorted(per_window_scored[window], key=lambda s: s.rule_id)
-            archive.record(window, scored)
-            item_source = (
-                {s.rule_id: s.rule.items for s in scored}
-                if config.build_item_index
-                else None
-            )
-            knowledge_base.slices.append(
-                WindowSlice.from_count_groups(
-                    window,
-                    size,
-                    group_by_counts(scored),
-                    generation_setting=config.setting,
-                    item_index_source=item_source,
-                )
-            )
-            knowledge_base.rules_in_window.append(rules_in_window[window])
-            knowledge_base.window_sizes.append(size)
-    archive.seal()
-    return knowledge_base
 
 
 # ----------------------------------------------------------------------
@@ -304,8 +288,9 @@ def _config_payload(config: GenerationConfig) -> Dict[str, Any]:
 
 
 def _catalog_payload(catalog: RuleCatalog) -> List[Dict[str, Any]]:
+    # json writes the itemset tuples as arrays, as it would lists.
     return [
-        {"antecedent": list(rule.antecedent), "consequent": list(rule.consequent)}
+        {"antecedent": rule.antecedent, "consequent": rule.consequent}
         for rule in catalog
     ]
 

@@ -27,12 +27,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import QueryError, ValidationError
-from repro.core.locations import CountLocation, Location, count_axes, distinct_axes
+from repro.core.locations import Location, count_axes, distinct_axes, group_rows
+from repro.core.storage.writer import WindowEntry
 from repro.data.items import ItemId
-from repro.mining.rules import RuleId
+from repro.mining.rules import RuleCatalog, RuleId
 
 #: Query values whose float-axis bisection is trusted without an exact
 #: check: if the query is at least this far (in float space) from both
@@ -130,16 +131,19 @@ class StableRegion:
 class WindowSlice:
     """The EPS index slice of a single basic window.
 
+    The constructor is the ``Fraction``-keyed reference; the builder
+    and both loaders use :meth:`from_rows`.
+
     Args:
         window: basic window index this slice belongs to.
         groups: parametric location -> rule ids (Lemma 2 grouping).
-        item_index_source: optional mapping rule id -> rule items; when
-            given, each location additionally carries an inverted
-            item -> rules index (the TARA-S variant enabling content
-            queries, at extra build and merge cost).
         generation_setting: the offline thresholds the window was mined
             at; queries below them would be answered incompletely and
             are rejected.
+        catalog: optional catalog holding every grouped rule; when
+            given, each location additionally carries an inverted
+            item -> rules index (the TARA-S variant enabling content
+            queries, at extra build and merge cost).
     """
 
     window: int
@@ -163,7 +167,7 @@ class WindowSlice:
         groups: Dict[Location, List[RuleId]],
         *,
         generation_setting: ParameterSetting,
-        item_index_source: Optional[Dict[RuleId, Sequence[ItemId]]] = None,
+        catalog: Optional[RuleCatalog] = None,
     ) -> None:
         supports, confidences = distinct_axes(groups)
         support_rank = {value: i for i, value in enumerate(supports)}
@@ -177,30 +181,35 @@ class WindowSlice:
             for location, rule_ids in groups.items()
         ]
         self._setup(
-            window, generation_setting, supports, confidences, entries,
-            item_index_source,
+            window, generation_setting, supports, confidences, entries, catalog
         )
 
     @classmethod
-    def from_count_groups(
+    def from_rows(
         cls,
         window: int,
         window_size: int,
-        groups: Dict[CountLocation, List[RuleId]],
+        rows: Iterable[WindowEntry],
         *,
         generation_setting: ParameterSetting,
-        item_index_source: Optional[Dict[RuleId, Sequence[ItemId]]] = None,
+        catalog: Optional[RuleCatalog] = None,
     ) -> "WindowSlice":
-        """Build a slice from the count-native Lemma 2 grouping.
+        """Build a slice from one window's archive rows.
 
-        The hot offline path: axes (and their validation) come from
-        :func:`repro.core.locations.count_axes` at the distinct-value
-        boundary, and rows are placed by integer rank without ever
-        constructing a ``Fraction`` or ``Location`` per scored rule.
-        Produces a slice bit-identical to ``WindowSlice(window,
-        group_by_location(scored), ...)`` — the cross-miner fingerprint
-        gate of ``repro bench`` covers exactly this equality.
+        *rows* are ``(rule_id, rule_count, antecedent_count,
+        consequent_count)`` tuples, the
+        :meth:`~repro.core.archive.TarArchive.window_entries` shape that
+        the builder, the lazy v2 first touch and the v1 loader all hold.
+        The Lemma 2 grouping and the axes come from
+        :func:`~repro.core.locations.group_rows` and
+        :func:`~repro.core.locations.count_axes`, so no ``Fraction``,
+        ``Location`` or scored rule is made per row.  With *catalog*,
+        each location also gets the TARA-S item index.  Produces a slice
+        identical to ``WindowSlice(window, group_by_location(scored),
+        ...)`` (property-tested; the cross-miner fingerprint gate of
+        ``repro bench`` covers it too).
         """
+        groups = group_rows(rows)
         supports, confidences, support_rank, confidence_rank = count_axes(
             window_size, groups
         )
@@ -210,8 +219,7 @@ class WindowSlice:
         ]
         window_slice = cls.__new__(cls)
         window_slice._setup(
-            window, generation_setting, supports, confidences, entries,
-            item_index_source,
+            window, generation_setting, supports, confidences, entries, catalog
         )
         return window_slice
 
@@ -222,7 +230,7 @@ class WindowSlice:
         supports: List[Fraction],
         confidences: List[Fraction],
         entries: List[Tuple[int, int, Tuple[RuleId, ...]]],
-        item_index_source: Optional[Dict[RuleId, Sequence[ItemId]]],
+        catalog: Optional[RuleCatalog],
     ) -> None:
         """Shared constructor core: place ``(si, ci, rule_ids)`` entries."""
         self.window = window
@@ -255,17 +263,23 @@ class WindowSlice:
         self._region_rulesets = {}
         self._row_maps_cache = None
 
-        # TARA-S: per-location inverted item index.
+        # TARA-S: per-location inverted item index, read from each
+        # rule's antecedent and consequent in the catalog.  The sides
+        # are disjoint, so a rule is listed once per item it mentions
+        # and no union of the two is made.
         self._item_index = None
-        if item_index_source is not None:
+        if catalog is not None:
+            rule_of = catalog.get
             self._item_index = []
             for row in self._rows:
                 indexed_row: List[Tuple[int, Dict[ItemId, Tuple[RuleId, ...]]]] = []
                 for ci, row_rule_ids in row:
                     inverted: Dict[ItemId, List[RuleId]] = {}
                     for rule_id in row_rule_ids:
-                        for item in item_index_source[rule_id]:
-                            inverted.setdefault(item, []).append(rule_id)
+                        rule = rule_of(rule_id)
+                        for side in (rule.antecedent, rule.consequent):
+                            for item in side:
+                                inverted.setdefault(item, []).append(rule_id)
                     indexed_row.append(
                         (ci, {item: tuple(ids) for item, ids in inverted.items()})
                     )

@@ -21,12 +21,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.common.errors import CodecError
-from repro.common.varint import (
-    decode_svarint,
-    decode_uvarint,
-    encode_svarint,
-    encode_uvarint,
-)
+from repro.common.varint import decode_uvarint, encode_svarint, encode_uvarint
 
 #: One archive entry:
 #: (window, rule_count, antecedent_count, consequent_count).
@@ -39,9 +34,12 @@ def encode_series(series: List[Entry]) -> bytes:
     Wire layout per entry: window gap (uvarint), then zigzag-varint
     deltas of the rule count and of the two margins
     ``antecedent - rule`` and ``consequent - rule`` (both non-negative
-    by definition, and near-constant for a stable rule).
+    by definition, and near-constant for a stable rule).  A gap below
+    128 or a delta in ``[-64, 64)`` is one byte, written here in place;
+    every other value goes through :mod:`repro.common.varint`.
     """
     out = bytearray()
+    append = out.append
     previous_window = -1
     previous_rule_count = 0
     previous_margin = 0
@@ -57,10 +55,26 @@ def encode_series(series: List[Entry]) -> bytes:
             raise CodecError("archive series windows must be strictly increasing")
         margin = antecedent_count - rule_count
         consequent_margin = consequent_count - rule_count
-        encode_uvarint(gap, out)
-        encode_svarint(rule_count - previous_rule_count, out)
-        encode_svarint(margin - previous_margin, out)
-        encode_svarint(consequent_margin - previous_consequent_margin, out)
+        if gap < 128:
+            append(gap)
+        else:
+            encode_uvarint(gap, out)
+        # zigzag(delta) is below 128 exactly when -64 <= delta < 64.
+        delta = rule_count - previous_rule_count
+        if -64 <= delta < 64:
+            append((delta << 1) ^ (delta >> 63))
+        else:
+            encode_svarint(delta, out)
+        delta = margin - previous_margin
+        if -64 <= delta < 64:
+            append((delta << 1) ^ (delta >> 63))
+        else:
+            encode_svarint(delta, out)
+        delta = consequent_margin - previous_consequent_margin
+        if -64 <= delta < 64:
+            append((delta << 1) ^ (delta >> 63))
+        else:
+            encode_svarint(delta, out)
         previous_window = window
         previous_rule_count = rule_count
         previous_margin = margin
@@ -69,25 +83,51 @@ def encode_series(series: List[Entry]) -> bytes:
 
 
 def decode_series(blob: bytes) -> List[Entry]:
-    """Inverse of :func:`encode_series`."""
+    """Inverse of :func:`encode_series`.
+
+    A byte below 128 is a whole varint and is read in place; longer
+    varints go through :mod:`repro.common.varint`.  A blob cut off
+    inside an entry raises :class:`CodecError`.
+    """
     series: List[Entry] = []
+    append = series.append
     offset = 0
+    end = len(blob)
     window = -1
     rule_count = 0
     margin = 0
     consequent_margin = 0
-    while offset < len(blob):
-        gap, offset = decode_uvarint(blob, offset)
-        rule_count_delta, offset = decode_svarint(blob, offset)
-        margin_delta, offset = decode_svarint(blob, offset)
-        consequent_margin_delta, offset = decode_svarint(blob, offset)
-        window += gap
-        rule_count += rule_count_delta
-        margin += margin_delta
-        consequent_margin += consequent_margin_delta
-        if rule_count < 0 or margin < 0 or consequent_margin < 0:
-            raise CodecError("corrupt archive series: negative decoded count")
-        series.append(
-            (window, rule_count, rule_count + margin, rule_count + consequent_margin)
-        )
+    try:
+        while offset < end:
+            value = blob[offset]
+            if value < 128:
+                offset += 1
+            else:
+                value, offset = decode_uvarint(blob, offset)
+            window += value
+            value = blob[offset]
+            if value < 128:
+                offset += 1
+            else:
+                value, offset = decode_uvarint(blob, offset)
+            rule_count += (value >> 1) ^ -(value & 1)
+            value = blob[offset]
+            if value < 128:
+                offset += 1
+            else:
+                value, offset = decode_uvarint(blob, offset)
+            margin += (value >> 1) ^ -(value & 1)
+            value = blob[offset]
+            if value < 128:
+                offset += 1
+            else:
+                value, offset = decode_uvarint(blob, offset)
+            consequent_margin += (value >> 1) ^ -(value & 1)
+            if rule_count < 0 or margin < 0 or consequent_margin < 0:
+                raise CodecError("corrupt archive series: negative decoded count")
+            append(
+                (window, rule_count, rule_count + margin, rule_count + consequent_margin)
+            )
+    except IndexError as error:
+        raise CodecError("truncated archive series entry") from error
     return series

@@ -193,8 +193,17 @@ class ShardedSeriesSource:
         lengths: List[Tuple[int, int]] = []
         try:
             for _ in range(rule_count):
-                gap, position = decode_uvarint(block, position)
-                blob_length, position = decode_uvarint(block, position)
+                # One-byte values in place, as in window_entries.
+                gap = block[position]
+                if gap < 128:
+                    position += 1
+                else:
+                    gap, position = decode_uvarint(block, position)
+                blob_length = block[position]
+                if blob_length < 128:
+                    position += 1
+                else:
+                    blob_length, position = decode_uvarint(block, position)
                 if gap == 0:
                     raise DataFormatError(
                         f"{self.path}: shard {shard_index} local directory "
@@ -206,6 +215,11 @@ class ShardedSeriesSource:
             raise DataFormatError(
                 f"{self.path}: corrupt local directory in shard "
                 f"{shard_index}: {error}"
+            ) from error
+        except IndexError as error:
+            raise DataFormatError(
+                f"{self.path}: local directory of shard {shard_index} ends "
+                f"inside an entry"
             ) from error
         blob_offset = offset + position
         for rule_id, blob_length in lengths:
@@ -272,7 +286,12 @@ class ShardedSeriesSource:
         return len(self._window_dir)
 
     def window_entries(self, window: int) -> List[WindowEntry]:
-        """Decode one window's count table (rule id ascending)."""
+        """Decode one window's count table (rule id ascending).
+
+        A byte below 128 is a whole uvarint and is read in place; longer
+        ones go through :func:`~repro.common.varint.decode_uvarint`.  A
+        block cut off inside an entry raises :class:`DataFormatError`.
+        """
         if not 0 <= window < len(self._window_dir):
             raise UnknownWindowError(
                 f"window {window} out of range [0, {len(self._window_dir)})"
@@ -280,21 +299,38 @@ class ShardedSeriesSource:
         offset, length = self._window_dir[window]
         block = self._map[offset : offset + length]
         entries: List[WindowEntry] = []
+        append = entries.append
         try:
             entry_count, position = decode_uvarint(block, 0) if length else (0, 0)
             rule_id = -1
             for _ in range(entry_count):
-                gap, position = decode_uvarint(block, position)
-                rule_count, position = decode_uvarint(block, position)
-                antecedent_margin, position = decode_uvarint(block, position)
-                consequent_margin, position = decode_uvarint(block, position)
+                gap = block[position]
+                if gap < 128:
+                    position += 1
+                else:
+                    gap, position = decode_uvarint(block, position)
+                rule_count = block[position]
+                if rule_count < 128:
+                    position += 1
+                else:
+                    rule_count, position = decode_uvarint(block, position)
+                antecedent_margin = block[position]
+                if antecedent_margin < 128:
+                    position += 1
+                else:
+                    antecedent_margin, position = decode_uvarint(block, position)
+                consequent_margin = block[position]
+                if consequent_margin < 128:
+                    position += 1
+                else:
+                    consequent_margin, position = decode_uvarint(block, position)
                 if gap == 0:
                     raise DataFormatError(
                         f"{self.path}: window {window} block has a "
                         f"non-increasing rule id"
                     )
                 rule_id += gap
-                entries.append(
+                append(
                     (
                         rule_id,
                         rule_count,
@@ -305,6 +341,10 @@ class ShardedSeriesSource:
         except CodecError as error:
             raise DataFormatError(
                 f"{self.path}: corrupt window block {window}: {error}"
+            ) from error
+        except IndexError as error:
+            raise DataFormatError(
+                f"{self.path}: window block {window} ends inside an entry"
             ) from error
         if position != length:
             raise DataFormatError(

@@ -35,25 +35,50 @@ WindowEntry = Tuple[int, int, int, int]
 
 
 def encode_window_block(entries: Sequence[WindowEntry]) -> bytes:
-    """Encode one window's count table (sorted by rule id)."""
+    """Encode one window's count table (sorted by rule id).
+
+    Each entry is four uvarints: the rule-id gap, the rule count and the
+    two margins.  Most values are below 128, so they are written here
+    as their one byte; only larger ones go through
+    :func:`~repro.common.varint.encode_uvarint`.  The bytes are the same
+    either way.
+    """
     out = bytearray()
+    append = out.append
     encode_uvarint(len(entries), out)
     previous_rule_id = -1
     for rule_id, rule_count, antecedent_count, consequent_count in entries:
-        if rule_id <= previous_rule_id:
+        gap = rule_id - previous_rule_id
+        if gap <= 0:
             raise ValidationError(
                 f"window block entries must have strictly increasing rule "
                 f"ids, got {rule_id} after {previous_rule_id}"
             )
-        if antecedent_count < rule_count or consequent_count < rule_count:
+        margin = antecedent_count - rule_count
+        consequent_margin = consequent_count - rule_count
+        if margin < 0 or consequent_margin < 0:
             raise ValidationError(
                 f"rule {rule_id}: marginal counts ({antecedent_count}, "
                 f"{consequent_count}) below the rule count {rule_count}"
             )
-        encode_uvarint(rule_id - previous_rule_id, out)
-        encode_uvarint(rule_count, out)
-        encode_uvarint(antecedent_count - rule_count, out)
-        encode_uvarint(consequent_count - rule_count, out)
+        # gap and both margins are positive or zero by the checks above;
+        # a negative rule count must still reach encode_uvarint's error.
+        if gap < 128:
+            append(gap)
+        else:
+            encode_uvarint(gap, out)
+        if 0 <= rule_count < 128:
+            append(rule_count)
+        else:
+            encode_uvarint(rule_count, out)
+        if margin < 128:
+            append(margin)
+        else:
+            encode_uvarint(margin, out)
+        if consequent_margin < 128:
+            append(consequent_margin)
+        else:
+            encode_uvarint(consequent_margin, out)
         previous_rule_id = rule_id
     return bytes(out)
 
@@ -65,15 +90,25 @@ def encode_shard_block(shard: Sequence[Tuple[int, bytes]]) -> bytes:
     ascending id order.
     """
     directory = bytearray()
+    append = directory.append
     previous_rule_id = shard[0][0] - 1
     for rule_id, blob in shard:
-        if rule_id <= previous_rule_id:
+        gap = rule_id - previous_rule_id
+        if gap <= 0:
             raise ValidationError(
                 f"shard rules must have strictly increasing ids, got "
                 f"{rule_id} after {previous_rule_id}"
             )
-        encode_uvarint(rule_id - previous_rule_id, directory)
-        encode_uvarint(len(blob), directory)
+        # One-byte values in place, as in encode_window_block.
+        if gap < 128:
+            append(gap)
+        else:
+            encode_uvarint(gap, directory)
+        length = len(blob)
+        if length < 128:
+            append(length)
+        else:
+            encode_uvarint(length, directory)
         previous_rule_id = rule_id
     return bytes(directory) + b"".join(blob for _, blob in shard)
 

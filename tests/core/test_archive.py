@@ -9,9 +9,12 @@ from repro.common.errors import (
     UnknownWindowError,
     ValidationError,
 )
+from repro.core import GenerationConfig, build_knowledge_base
 from repro.core.archive import TarArchive, _decode_series, _encode_series
+from repro.data import TransactionDatabase, WindowedDatabase
 from repro.data.periods import PeriodSpec
 from repro.mining.rules import Rule, ScoredRule
+from tests.conftest import random_itemlists
 
 
 def scored(rule_id, rule_count, antecedent_count, window_size, consequent_count=None):
@@ -106,6 +109,57 @@ class TestReads:
         assert 0 in archive and 1 in archive and 42 not in archive
         assert len(archive) == 2
         assert sorted(archive.rule_ids()) == [0, 1]
+
+
+@pytest.fixture(scope="module")
+def sixteen_window_archive() -> TarArchive:
+    """The eager archive of a 16-window build."""
+    itemlists = random_itemlists(seed=161, count=1600, item_count=12, max_len=5)
+    windows = WindowedDatabase.partition_by_count(
+        TransactionDatabase.from_itemlists(itemlists), 16
+    )
+    config = GenerationConfig(min_support=0.05, min_confidence=0.2)
+    return build_knowledge_base(windows, config).archive
+
+
+class TestMeasureAtReadsOneColumn:
+    def test_equals_the_series_for_every_rule_and_window(
+        self, sixteen_window_archive
+    ):
+        archive = sixteen_window_archive
+        assert archive.window_count >= 16
+        checked = 0
+        for rule_id in archive.rule_ids():
+            by_window = {m.window: m for m in archive.series(rule_id)}
+            for window in range(archive.window_count):
+                assert archive.measure_at(rule_id, window) == by_window.get(window)
+                checked += 1
+        assert checked > 1000
+
+    def test_a_hit_does_not_gather_the_series(self, sixteen_window_archive):
+        archive = sixteen_window_archive
+        gathered = []
+
+        def counting_entries(rule_id):
+            gathered.append(rule_id)
+            return TarArchive._entries(archive, rule_id)
+
+        archive._entries = counting_entries
+        try:
+            hits = 0
+            for window in range(archive.window_count):
+                for row in archive.window_entries(window):
+                    assert archive.measure_at(row[0], window) is not None
+                    hits += 1
+        finally:
+            del archive._entries
+        assert hits > 0
+        assert gathered == []
+
+    def test_rule_archived_nowhere_raises(self, sixteen_window_archive):
+        unknown = max(sixteen_window_archive.rule_ids()) + 1
+        with pytest.raises(UnknownRuleError):
+            sixteen_window_archive.measure_at(unknown, 3)
 
 
 class TestSealing:

@@ -1,10 +1,10 @@
 """Count-native EPS construction ≡ the Fraction-keyed reference path.
 
-The offline build groups locations by raw integer count pairs and
-resolves query settings through float-bisected axes
-(:func:`repro.core.locations.group_by_counts`,
+Every slice is built from a window's archive rows, grouped by raw
+integer count pairs, and query settings resolve through float-bisected
+axes (:func:`repro.core.locations.group_rows`,
 :func:`repro.core.locations.count_axes`,
-:meth:`repro.core.regions.WindowSlice.from_count_groups`,
+:meth:`repro.core.regions.WindowSlice.from_rows`,
 :func:`repro.core.regions._axis_rank`).  These properties pin the
 equivalence with the exact ``Fraction``-keyed reference implementations
 they replaced, including the adversarial boundary cases: exact axis
@@ -14,20 +14,21 @@ generation-threshold edges.
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ValidationError
 from repro.core.locations import (
     count_axes,
-    group_by_counts,
     group_by_location,
+    group_rows,
     location_of,
 )
 from repro.core.regions import ParameterSetting, WindowSlice, _axis_rank
-from repro.mining.rules import Rule, ScoredRule
+from repro.mining.rules import Rule, RuleCatalog, ScoredRule
 
 RULE = Rule((1,), (2,))
 
@@ -42,6 +43,14 @@ def scored(rule_id, rule_count, antecedent_count, window_size):
         antecedent_count=antecedent_count,
         window_size=window_size,
     )
+
+
+def rows_of(rules):
+    """The archive rows (``window_entries`` shape) of scored rules."""
+    return [
+        (s.rule_id, s.rule_count, s.antecedent_count, s.consequent_count)
+        for s in rules
+    ]
 
 
 @st.composite
@@ -70,7 +79,7 @@ class TestGroupingEquivalence:
     def test_count_grouping_matches_fraction_grouping(self, rules):
         """Property (a): integer count-pair grouping ≡ group_by_location."""
         by_location = group_by_location(rules)
-        by_counts = group_by_counts(rules)
+        by_counts = group_rows(rows_of(rules))
         assert len(by_counts) == len(by_location)
         if rules:
             window_size = rules[0].window_size
@@ -92,8 +101,8 @@ class TestGroupingEquivalence:
             3, group_by_location(rules), generation_setting=setting
         )
         window_size = rules[0].window_size if rules else 1
-        native = WindowSlice.from_count_groups(
-            3, window_size, group_by_counts(rules), generation_setting=setting
+        native = WindowSlice.from_rows(
+            3, window_size, rows_of(rules), generation_setting=setting
         )
         assert native.supports == reference.supports
         assert native.confidences == reference.confidences
@@ -107,13 +116,16 @@ class TestGroupingEquivalence:
             scored(0, rule_count=0, antecedent_count=3, window_size=10),
             scored(1, rule_count=0, antecedent_count=7, window_size=10),
         ]
-        assert group_by_counts(rules) == {(0, 0, 1): [0, 1]}
+        assert group_rows(rows_of(rules)) == {(0, 0, 1): [0, 1]}
         assert len(group_by_location(rules)) == 1
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValidationError):
-            group_by_counts(
-                [ScoredRule(0, RULE, 0.0, 0.0, 0, 1, 0)]
+            WindowSlice.from_rows(
+                0,
+                0,
+                rows_of([ScoredRule(0, RULE, 0.0, 0.0, 0, 1, 0)]),
+                generation_setting=ParameterSetting(0.0, 0.0),
             )
         with pytest.raises(ValidationError):
             location_of(ScoredRule(0, RULE, 0.0, 0.0, 0, 1, 0))
@@ -130,7 +142,7 @@ class TestCountAxes:
     @given(scored_window())
     def test_axes_and_ranks_match_reference(self, rules):
         """count_axes reproduces distinct_axes order with correct ranks."""
-        groups = group_by_counts(rules)
+        groups = group_rows(rows_of(rules))
         window_size = rules[0].window_size if rules else 1
         supports, confidences, support_rank, confidence_rank = count_axes(
             window_size, groups
@@ -158,6 +170,122 @@ class TestCountAxes:
         assert confidence_rank[(333333333333, 10**12)] == 0
         assert confidence_rank[(1, 3)] == 1
         assert confidence_rank[(333333333334, 10**12)] == 2
+
+
+def _all_rules():
+    """Every rule over six items with one- or two-item sides."""
+    sides = [(item,) for item in range(6)] + list(combinations(range(6), 2))
+    return [
+        Rule(antecedent, consequent)
+        for antecedent in sides
+        for consequent in sides
+        if not set(antecedent) & set(consequent)
+    ]
+
+
+#: Rule id ``i`` is ``ALL_RULES[i]`` in ``CATALOG``; with six items,
+#: every item is shared by many rules and so by many locations.
+ALL_RULES = _all_rules()
+CATALOG = RuleCatalog()
+for _rule in ALL_RULES:
+    CATALOG.intern(_rule)
+
+
+@st.composite
+def window_rows(draw):
+    """``(window_size, rows)``: one window's archive rows, id ascending.
+
+    Each rule's confidence is ``p/q`` with ``q <= 4`` scaled by ``k``,
+    so confidence ties across different count pairs are common, ``p ==
+    q`` gives an antecedent count equal to the rule count, and ``p ==
+    0`` gives zero-count rules whose raw pairs differ but share one
+    location.
+    """
+    window_size = draw(st.integers(min_value=1, max_value=80))
+    rule_ids = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=len(ALL_RULES) - 1),
+            unique=True,
+            max_size=60,
+        )
+    )
+    rows = []
+    for rule_id in sorted(rule_ids):
+        q = draw(st.integers(min_value=1, max_value=min(4, window_size)))
+        p = draw(st.integers(min_value=0, max_value=q))
+        k = draw(st.integers(min_value=1, max_value=window_size // q))
+        rule_count = k * p
+        consequent_count = rule_count + draw(st.integers(min_value=0, max_value=5))
+        rows.append((rule_id, rule_count, k * q, consequent_count))
+    return window_size, rows
+
+
+class TestRowsConstructor:
+    @settings(max_examples=150, deadline=None)
+    @given(window_rows())
+    @example(
+        (
+            12,
+            [
+                (0, 1, 2, 1),  # confidence 1/2 ...
+                (1, 2, 4, 3),  # ... tied at another count pair
+                (2, 3, 3, 3),  # antecedent count == rule count
+                (3, 3, 3, 4),  # same pair, same location as rule 2
+                (4, 0, 2, 0),  # zero counts: 0/2 and 0/3 ...
+                (5, 0, 3, 1),  # ... share one location
+            ],
+        )
+    )
+    @example((10, [(0, 0, 3, 0), (1, 0, 2, 0), (2, 0, 3, 1)]))  # interleaved merge
+    def test_rows_slice_equals_reference_slice(self, window_and_rows):
+        window_size, rows = window_and_rows
+        setting = ParameterSetting(0.0, 0.0)
+        scored_rules = [
+            ScoredRule(
+                rule_id=rule_id,
+                rule=ALL_RULES[rule_id],
+                support=rule_count / window_size,
+                confidence=rule_count / antecedent_count,
+                rule_count=rule_count,
+                antecedent_count=antecedent_count,
+                window_size=window_size,
+                consequent_count=consequent_count,
+            )
+            for rule_id, rule_count, antecedent_count, consequent_count in rows
+        ]
+        reference = WindowSlice(
+            5, group_by_location(scored_rules), generation_setting=setting,
+            catalog=CATALOG,
+        )
+        native = WindowSlice.from_rows(
+            5, window_size, rows, generation_setting=setting, catalog=CATALOG
+        )
+        assert native.supports == reference.supports
+        assert native.confidences == reference.confidences
+        assert sorted(native.locations()) == sorted(reference.locations())
+        for si in range(len(native.supports) + 1):
+            for ci in range(len(native.confidences) + 1):
+                assert native.ruleset_for_region(si, ci) == (
+                    reference.ruleset_for_region(si, ci)
+                )
+        for support in native.supports:
+            for confidence in native.confidences:
+                query = ParameterSetting(float(support), float(confidence))
+                valid = native.collect(query)
+                for items in ((0,), (1, 4), (2, 3, 5)):
+                    mentioning = [
+                        rule_id
+                        for rule_id in valid
+                        if set(ALL_RULES[rule_id].items) & set(items)
+                    ]
+                    assert native.collect_items(query, items) == mentioning
+                    assert reference.collect_items(query, items) == mentioning
+
+    def test_zero_antecedent_count_is_rejected(self):
+        with pytest.raises(ValidationError):
+            WindowSlice.from_rows(
+                0, 10, [(0, 0, 0, 0)], generation_setting=ParameterSetting(0.0, 0.0)
+            )
 
 
 def reference_rank(axis, value):
@@ -221,8 +349,8 @@ class TestAxisRank:
         """WindowSlice._cut_ranks ≡ the old per-query Fraction bisects."""
         setting = ParameterSetting(0.0, 0.0)
         window_size = rules[0].window_size if rules else 1
-        window_slice = WindowSlice.from_count_groups(
-            0, window_size, group_by_counts(rules), generation_setting=setting
+        window_slice = WindowSlice.from_rows(
+            0, window_size, rows_of(rules), generation_setting=setting
         )
         query = ParameterSetting(supp, conf)
         si, ci = window_slice.region_ranks(query)

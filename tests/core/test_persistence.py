@@ -31,6 +31,22 @@ def saved_path(request, small_kb, tmp_path):
 
 
 @pytest.fixture()
+def load():
+    """``load_knowledge_base`` that closes every v2 file it opened at teardown."""
+    opened = []
+
+    def loader(path, **kwargs):
+        knowledge_base = load_knowledge_base(path, **kwargs)
+        if isinstance(knowledge_base, LazyTaraKnowledgeBase):
+            opened.append(knowledge_base)
+        return knowledge_base
+
+    yield loader
+    for knowledge_base in opened:
+        knowledge_base.close()
+
+
+@pytest.fixture()
 def saved_v1_path(small_kb, tmp_path):
     path = tmp_path / "kb.json"
     save_knowledge_base(small_kb, path, format_version=FORMAT_VERSION)
@@ -45,27 +61,27 @@ class TestRoundtrip:
         assert written == path.stat().st_size
         assert written > 0
 
-    def test_default_write_format_is_v2(self, small_kb, tmp_path):
+    def test_default_write_format_is_v2(self, load, small_kb, tmp_path):
         path = tmp_path / "kb.tara"
         save_knowledge_base(small_kb, path)
-        assert isinstance(load_knowledge_base(path), LazyTaraKnowledgeBase)
+        assert isinstance(load(path), LazyTaraKnowledgeBase)
 
     def test_unknown_format_version_rejected(self, small_kb, tmp_path):
         with pytest.raises(DataFormatError, match="format version"):
             save_knowledge_base(small_kb, tmp_path / "kb.tara", format_version=7)
 
-    def test_config_restored(self, small_kb, saved_path):
-        loaded = load_knowledge_base(saved_path)
+    def test_config_restored(self, load, small_kb, saved_path):
+        loaded = load(saved_path)
         assert loaded.config == small_kb.config
 
-    def test_catalog_restored_in_order(self, small_kb, saved_path):
-        loaded = load_knowledge_base(saved_path)
+    def test_catalog_restored_in_order(self, load, small_kb, saved_path):
+        loaded = load(saved_path)
         assert len(loaded.catalog) == len(small_kb.catalog)
         for rule_id in range(len(small_kb.catalog)):
             assert loaded.catalog.get(rule_id) == small_kb.catalog.get(rule_id)
 
-    def test_archive_series_identical(self, small_kb, saved_path):
-        loaded = load_knowledge_base(saved_path)
+    def test_archive_series_identical(self, load, small_kb, saved_path):
+        loaded = load(saved_path)
         for rule_id in small_kb.archive.rule_ids():
             original = [
                 (m.window, m.rule_count, m.antecedent_count)
@@ -77,8 +93,8 @@ class TestRoundtrip:
             ]
             assert original == restored
 
-    def test_encoded_series_byte_identical(self, small_kb, saved_path):
-        loaded = load_knowledge_base(saved_path)
+    def test_encoded_series_byte_identical(self, load, small_kb, saved_path):
+        loaded = load(saved_path)
         assert sorted(loaded.archive.rule_ids()) == sorted(
             small_kb.archive.rule_ids()
         )
@@ -87,8 +103,8 @@ class TestRoundtrip:
                 rule_id
             ) == small_kb.archive.encoded_series(rule_id)
 
-    def test_every_query_answer_identical(self, small_kb, saved_path):
-        loaded = load_knowledge_base(saved_path)
+    def test_every_query_answer_identical(self, load, small_kb, saved_path):
+        loaded = load(saved_path)
         original_explorer = TaraExplorer(small_kb)
         loaded_explorer = TaraExplorer(loaded)
         for supp, conf in [(0.02, 0.1), (0.05, 0.3), (0.1, 0.5)]:
@@ -98,8 +114,8 @@ class TestRoundtrip:
                     setting, window
                 ) == loaded_explorer.ruleset(setting, window)
 
-    def test_item_index_rebuilt_when_configured(self, small_kb, saved_path):
-        loaded = load_knowledge_base(saved_path)
+    def test_item_index_rebuilt_when_configured(self, load, small_kb, saved_path):
+        loaded = load(saved_path)
         assert loaded.slice(0).has_item_index == small_kb.slice(0).has_item_index
         if loaded.slice(0).has_item_index:
             setting = ParameterSetting(0.05, 0.3)
@@ -110,8 +126,8 @@ class TestRoundtrip:
             )
             assert explorer.execute(query) == original.execute(query)
 
-    def test_rollup_identical(self, small_kb, saved_path):
-        loaded = load_knowledge_base(saved_path)
+    def test_rollup_identical(self, load, small_kb, saved_path):
+        loaded = load(saved_path)
         spec = PeriodSpec(range(small_kb.window_count))
         setting = ParameterSetting(0.03, 0.2)
         query = RollupQuery(setting=setting, spec=spec)
@@ -122,16 +138,16 @@ class TestRoundtrip:
         ]
         assert original.max_support_error == restored.max_support_error
 
-    def test_candidate_rules_identical(self, small_kb, saved_path):
-        loaded = load_knowledge_base(saved_path)
+    def test_candidate_rules_identical(self, load, small_kb, saved_path):
+        loaded = load(saved_path)
         spec = PeriodSpec(range(small_kb.window_count))
         assert loaded.candidate_rules(spec) == small_kb.candidate_rules(spec)
 
-    def test_convert_v1_to_v2_round_trip(self, small_kb, saved_v1_path, tmp_path):
-        eager = load_knowledge_base(saved_v1_path)
+    def test_convert_v1_to_v2_round_trip(self, load, small_kb, saved_v1_path, tmp_path):
+        eager = load(saved_v1_path)
         v2_path = tmp_path / "kb.tara2"
         save_knowledge_base(eager, v2_path)
-        lazy = load_knowledge_base(v2_path)
+        lazy = load(v2_path)
         assert isinstance(lazy, LazyTaraKnowledgeBase)
         for rule_id in small_kb.archive.rule_ids():
             assert lazy.archive.encoded_series(

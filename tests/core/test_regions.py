@@ -19,12 +19,11 @@ def build_slice(transactions, gen_supp=0.0, gen_conf=0.0, item_index=False):
     catalog = RuleCatalog()
     scored = derive_rules(mine_apriori(transactions, gen_supp), gen_conf, catalog=catalog)
     groups = group_by_location(scored)
-    source = {s.rule_id: s.rule.items for s in scored} if item_index else None
     window_slice = WindowSlice(
         0,
         groups,
         generation_setting=ParameterSetting(gen_supp, gen_conf),
-        item_index_source=source,
+        catalog=catalog if item_index else None,
     )
     return window_slice, scored, catalog
 

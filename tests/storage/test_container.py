@@ -18,12 +18,16 @@ from repro.common.errors import (
     UnknownWindowError,
     ValidationError,
 )
+from repro.common.varint import encode_svarint, encode_uvarint
 from repro.core.storage import (
     MAGIC,
     ShardedSeriesSource,
+    decode_series,
     encode_series,
     write_container,
 )
+from repro.core.storage.format import WINDOW_DIR_ENTRY
+from repro.core.storage.writer import encode_window_block
 
 
 def write_sample(path, series_by_rule, window_entries, shard_size=2):
@@ -325,3 +329,152 @@ class TestContainerProperties:
             [],
         )
         assert first.read_bytes() == second.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# the codecs' one-byte fast path at the varint length boundaries
+# ----------------------------------------------------------------------
+#: Unsigned values on both sides of the one- and two-byte boundaries.
+BOUNDARY_VALUES = (0, 1, 127, 128, 16383, 16384)
+#: Signed deltas on both sides of the one-byte zigzag boundary.
+BOUNDARY_DELTAS = (-65, -64, -1, 0, 1, 63, 64, 8191, -8193)
+
+
+def reference_series_bytes(series):
+    """The series encoding written with the varint module alone."""
+    out = bytearray()
+    previous = (-1, 0, 0, 0)
+    for window, rule_count, antecedent_count, consequent_count in series:
+        current = (
+            window,
+            rule_count,
+            antecedent_count - rule_count,
+            consequent_count - rule_count,
+        )
+        encode_uvarint(current[0] - previous[0], out)
+        for value, before in zip(current[1:], previous[1:]):
+            encode_svarint(value - before, out)
+        previous = current
+    return bytes(out)
+
+
+def reference_block_bytes(rows):
+    """The window-block encoding written with the varint module alone."""
+    out = bytearray()
+    encode_uvarint(len(rows), out)
+    previous_rule_id = -1
+    for rule_id, rule_count, antecedent_count, consequent_count in rows:
+        for value in (
+            rule_id - previous_rule_id,
+            rule_count,
+            antecedent_count - rule_count,
+            consequent_count - rule_count,
+        ):
+            encode_uvarint(value, out)
+        previous_rule_id = rule_id
+    return bytes(out)
+
+
+def boundary_series():
+    """A series whose window gaps and count deltas hit every boundary."""
+    series = []
+    window = -1
+    rule_count = margin = consequent_margin = 20_000
+    for step, gap in enumerate(BOUNDARY_VALUES[1:]):
+        window += gap
+        delta = BOUNDARY_DELTAS[step % len(BOUNDARY_DELTAS)]
+        rule_count += delta
+        margin -= delta
+        consequent_margin += BOUNDARY_DELTAS[-1 - step % len(BOUNDARY_DELTAS)]
+        series.append(
+            (window, rule_count, rule_count + margin, rule_count + consequent_margin)
+        )
+    # Each signed delta once more, in every field, after a one-window gap.
+    for delta in BOUNDARY_DELTAS:
+        window += 1
+        rule_count += delta
+        margin += delta
+        consequent_margin -= delta
+        series.append(
+            (window, rule_count, rule_count + margin, rule_count + consequent_margin)
+        )
+    return series
+
+
+def boundary_rows():
+    """Window-block rows whose gaps, counts and margins hit every boundary."""
+    rows = []
+    rule_id = -1
+    for index, value in enumerate(BOUNDARY_VALUES):
+        rule_id += max(value, 1)
+        other = BOUNDARY_VALUES[-1 - index]
+        rows.append((rule_id, value, value + other, value + BOUNDARY_VALUES[index - 2]))
+    return rows
+
+
+class TestOneByteBoundaries:
+    def test_series_bytes_equal_the_varint_module(self):
+        series = boundary_series()
+        blob = encode_series(series)
+        assert blob == reference_series_bytes(series)
+        assert decode_series(blob) == series
+
+    @pytest.mark.parametrize("delta", BOUNDARY_DELTAS)
+    @pytest.mark.parametrize("gap", BOUNDARY_VALUES[1:])
+    def test_single_step_round_trips(self, gap, delta):
+        def entry(window, rule_count, margin, consequent_margin):
+            return (
+                window,
+                rule_count,
+                rule_count + margin,
+                rule_count + consequent_margin,
+            )
+
+        base = 70_000
+        series = [
+            entry(gap - 1, base, base, base),
+            entry(2 * gap - 1, base + delta, base + delta, base - delta),
+        ]
+        blob = encode_series(series)
+        assert blob == reference_series_bytes(series)
+        assert decode_series(blob) == series
+
+    def test_block_bytes_equal_the_varint_module(self, tmp_path):
+        rows = boundary_rows()
+        assert encode_window_block(rows) == reference_block_bytes(rows)
+        path = tmp_path / "boundary.tara2"
+        write_container(path, meta={}, window_entries=[rows], series=[])
+        with ShardedSeriesSource(path) as source:
+            assert source.window_entries(0) == rows
+
+    def test_every_series_prefix_decodes_or_raises_codec_error(self):
+        blob = encode_series(boundary_series())
+        for length in range(len(blob)):
+            try:
+                decoded = decode_series(blob[:length])
+            except CodecError:
+                continue
+            assert decoded == decode_series(blob)[: len(decoded)]
+
+    def test_every_block_truncation_raises_data_format_error(self, tmp_path):
+        rows = boundary_rows()
+        path = tmp_path / "boundary.tara2"
+        write_container(path, meta={}, window_entries=[rows], series=[])
+        payload = path.read_bytes()
+        block = encode_window_block(rows)
+        start = payload.index(block)
+        with ShardedSeriesSource(path) as source:
+            offset, length = source._window_dir[0]
+        assert (offset, length) == (start, len(block))
+        # Shorten the block in the window directory: the reader must
+        # reject every cut, inside a varint or between entries.  (An
+        # empty block is a valid block of no entries.)
+        truncated_path = tmp_path / "cut.tara2"
+        directory_entry = WINDOW_DIR_ENTRY.pack(offset, length)
+        for cut in range(1, length):
+            truncated_path.write_bytes(
+                payload.replace(directory_entry, WINDOW_DIR_ENTRY.pack(offset, cut), 1)
+            )
+            with ShardedSeriesSource(truncated_path) as source:
+                with pytest.raises(DataFormatError):
+                    source.window_entries(0)
