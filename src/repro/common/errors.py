@@ -72,3 +72,12 @@ class RetiredSnapshotError(ReproError, RuntimeError):
     handles only for the current (never-retired) snapshot — but raised
     defensively instead of silently resurrecting freed state.
     """
+
+
+class UnknownExportError(ReproError, AttributeError):
+    """A package was asked for a name it does not export.
+
+    Also an :class:`AttributeError`, as PEP 562 requires of a module
+    ``__getattr__``, so ``hasattr`` and ``getattr(..., default)`` keep
+    working on lazily resolved packages.
+    """

@@ -33,6 +33,19 @@ the shared value cache.  Byte accounting follows PR 9's storage LRU:
 one byte budget, least-recently-served eviction, oversize rejection,
 and peak tracking.
 
+Admission is on the second ask, as CDNs keep one-hit objects out
+(Maggs & Sitaraman, "Algorithmic Nuggets in Content Delivery", 2015)
+and TinyLFU's doorkeeper does (Einziger, Friedman & Manes, 2017).  An
+analyst steering thresholds lands in a new stable region at almost
+every step, so most answers are asked for once.  The first miss of a
+key records a bodiless *ghost* in the identity slot (:meth:`admit`
+returns False); the ghost is charged :data:`ENTRY_OVERHEAD` against the
+same budget and is evicted and purged like a body.  From the second
+miss on, :meth:`admit` returns True and the caller stores the bytes.
+The ``entries``, ``stores``, ``evictions`` and ``purged_entries``
+counters count bodies only; ``current_bytes`` includes the ghosts'
+charge, and ``first_sightings`` counts the ghosts recorded.
+
 The cache is event-loop-confined (the gateway is its only caller), so
 like :mod:`repro.serve.coalesce` and :mod:`repro.serve.metrics` it
 needs no lock.  Stored bodies are ``bytes`` — immutable by
@@ -79,7 +92,7 @@ class CachedBody:
 
 
 class ResponseCache:
-    """A byte-budgeted LRU of encoded response bodies."""
+    """A byte-budgeted LRU of encoded response bodies, kept from the second ask."""
 
     def __init__(
         self, budget_bytes: int = DEFAULT_RESPONSE_CACHE_BYTES
@@ -89,10 +102,12 @@ class ResponseCache:
                 f"budget_bytes must be >= 1, got {budget_bytes}"
             )
         self.budget_bytes = budget_bytes
-        self._entries: "OrderedDict[_EntryKey, Tuple[bytes, int, int]]" = (
-            OrderedDict()
-        )
+        # Each value is (body, cost, epoch); a ghost's body is None.
+        self._entries: (
+            "OrderedDict[_EntryKey, Tuple[Optional[bytes], int, int]]"
+        ) = OrderedDict()
         self._by_epoch: Dict[int, Set[_EntryKey]] = {}
+        self._ghosts = 0
         self.current_bytes = 0
         self.peak_bytes = 0
         self.hits = 0
@@ -105,9 +120,11 @@ class ResponseCache:
         self.gzip_variants = 0
         self.bytes_served = 0
         self.not_modified = 0
+        self.first_sightings = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Stored bodies (ghosts are not counted)."""
+        return len(self._entries) - self._ghosts
 
     # ------------------------------------------------------------------
     # read path
@@ -137,7 +154,7 @@ class ResponseCache:
 
     def _touch(self, entry_key: _EntryKey) -> Optional[bytes]:
         entry = self._entries.get(entry_key)
-        if entry is None:
+        if entry is None or entry[0] is None:
             return None
         self._entries.move_to_end(entry_key)
         return entry[0]
@@ -153,14 +170,29 @@ class ResponseCache:
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
-    def put(self, key: ResponseKey, value: bytes, epoch: int) -> None:
-        """Store the identity answer blob for *key*.
+    def admit(self, key: ResponseKey, epoch: int) -> bool:
+        """After a miss: may the caller store *key*'s bytes now?
+
+        True when *key* was seen before, i.e. its ghost (or an identity
+        body) is held.  Otherwise records a ghost under *epoch*, counts
+        one first sighting and returns False.  A key whose ghost was
+        evicted or purged starts over.
+        """
+        entry_key = key + (IDENTITY,)
+        if entry_key in self._entries:
+            return True
+        self.first_sightings += 1
+        self._insert(entry_key, None, ENTRY_OVERHEAD, epoch)
+        return False
+
+    def put(self, key: ResponseKey, value: bytes, epoch: int) -> bool:
+        """Store the identity answer blob for *key*; False if over budget.
 
         *epoch* is :data:`~repro.service.keys.EPOCH_FREE` for entries
         that survive publishes, else the snapshot epoch the key is
         scoped to (purged when :meth:`observe_epoch` sees it retire).
         """
-        self._store(key + (IDENTITY,), value, epoch)
+        return self._store(key + (IDENTITY,), value, epoch)
 
     def put_gzip(self, key: ResponseKey, value: bytes, epoch: int) -> None:
         """Store the pre-compressed complete response body for *key*."""
@@ -171,9 +203,17 @@ class ResponseCache:
 
     def _store(self, entry_key: _EntryKey, body: bytes, epoch: int) -> bool:
         """Insert one body, evicting oldest first; False if over budget."""
-        cost = len(body) + ENTRY_OVERHEAD
-        if cost > self.budget_bytes:
+        if not self._insert(entry_key, body, len(body) + ENTRY_OVERHEAD, epoch):
             self.rejected += 1
+            return False
+        self.stores += 1
+        return True
+
+    def _insert(
+        self, entry_key: _EntryKey, body: Optional[bytes], cost: int, epoch: int
+    ) -> bool:
+        """Place a body or a ghost (``None``) unless *cost* exceeds the budget."""
+        if cost > self.budget_bytes:
             return False
         self._discard(entry_key)
         while self._entries and self.current_bytes + cost > self.budget_bytes:
@@ -181,22 +221,32 @@ class ResponseCache:
         self._entries[entry_key] = (body, cost, epoch)
         self.current_bytes += cost
         self.peak_bytes = max(self.peak_bytes, self.current_bytes)
-        self.stores += 1
+        if body is None:
+            self._ghosts += 1
         if epoch != EPOCH_FREE:
             self._by_epoch.setdefault(epoch, set()).add(entry_key)
         return True
 
     def _evict_oldest(self) -> None:
-        entry_key, (_, cost, epoch) = self._entries.popitem(last=False)
-        self.current_bytes -= cost
-        self.evictions += 1
-        self._unindex(entry_key, epoch)
+        entry_key, entry = self._entries.popitem(last=False)
+        if self._release(entry_key, entry):
+            self.evictions += 1
 
-    def _discard(self, entry_key: _EntryKey) -> None:
+    def _discard(self, entry_key: _EntryKey) -> bool:
+        """Drop one entry if held; True if it was a body."""
         entry = self._entries.pop(entry_key, None)
-        if entry is not None:
-            self.current_bytes -= entry[1]
-            self._unindex(entry_key, entry[2])
+        return entry is not None and self._release(entry_key, entry)
+
+    def _release(
+        self, entry_key: _EntryKey, entry: Tuple[Optional[bytes], int, int]
+    ) -> bool:
+        """Give back a removed entry's charge; True if it held a body."""
+        body, cost, epoch = entry
+        self.current_bytes -= cost
+        self._unindex(entry_key, epoch)
+        if body is None:
+            self._ghosts -= 1
+        return body is not None
 
     def _unindex(self, entry_key: _EntryKey, epoch: int) -> None:
         if epoch == EPOCH_FREE:
@@ -233,8 +283,8 @@ class ResponseCache:
         if self._by_epoch:
             for stale_keys in list(self._by_epoch.values()):
                 for entry_key in list(stale_keys):
-                    self._discard(entry_key)
-                    self.purged_entries += 1
+                    if self._discard(entry_key):
+                        self.purged_entries += 1
                 self.purged_epochs += 1
             self._by_epoch.clear()
         if live is not None:
@@ -246,7 +296,7 @@ class ResponseCache:
     def counters(self) -> Dict[str, int]:
         """Snapshot for the ``/metrics`` route."""
         return {
-            "entries": len(self._entries),
+            "entries": len(self),
             "budget_bytes": self.budget_bytes,
             "current_bytes": self.current_bytes,
             "peak_bytes": self.peak_bytes,
@@ -260,4 +310,5 @@ class ResponseCache:
             "gzip_variants": self.gzip_variants,
             "bytes_served": self.bytes_served,
             "not_modified": self.not_modified,
+            "first_sightings": self.first_sightings,
         }

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import QueryError
 from repro.core.locations import Location, group_by_location
+from repro.core import regions
 from repro.core.regions import ParameterSetting, WindowSlice
 from repro.mining.apriori import mine_apriori
 from repro.mining.rules import RuleCatalog, derive_rules
@@ -318,3 +319,58 @@ class TestRegionRulesetLookup:
         )
         assert window_slice.region_ranks(nudged) == window_slice.region_ranks(setting)
         assert window_slice.collect(nudged) == window_slice.collect(setting)
+
+
+def every_cell(window_slice):
+    """Every cut-rank pair of a slice, one-past-end ranks included."""
+    for si in range(len(window_slice.supports) + 1):
+        for ci in range(len(window_slice.confidences) + 1):
+            yield si, ci
+
+
+class TestBoundedRegionMemo:
+    def test_memo_holds_at_most_its_bound(self, monkeypatch):
+        monkeypatch.setattr(regions, "_REGION_MEMO_ENTRIES", 4)
+        window_slice, _, _ = build_slice(TRANSACTIONS)
+        cells = list(every_cell(window_slice))
+        assert len(cells) > 4
+        for si, ci in cells:
+            window_slice.ruleset_for_region(si, ci)
+            assert len(window_slice._region_rulesets) <= 4
+
+    def test_rulesets_equal_a_fresh_scan_and_bfs(self, small_kb, monkeypatch):
+        monkeypatch.setattr(regions, "_REGION_MEMO_ENTRIES", 4)
+        for window in range(small_kb.window_count):
+            window_slice = small_kb.slice(window)
+            # Twice over the grid: the second pass reads refilled memos.
+            for _ in range(2):
+                for si, ci in every_cell(window_slice):
+                    memoized = window_slice.ruleset_for_region(si, ci)
+                    scanned = sorted(
+                        rule_id
+                        for _, rule_ids in window_slice._iter_dominated_rules(
+                            si, ci
+                        )
+                        for rule_id in rule_ids
+                    )
+                    assert list(memoized) == scanned, (window, si, ci)
+                    if si < len(window_slice.supports) and ci < len(
+                        window_slice.confidences
+                    ):
+                        setting = ParameterSetting(
+                            float(window_slice.supports[si]),
+                            float(window_slice.confidences[ci]),
+                        )
+                        assert window_slice.region_ranks(setting) == (si, ci)
+                        assert window_slice.collect_bfs(setting) == scanned
+
+    def test_region_sizes_are_counted_not_collected(self, small_kb):
+        for window in range(small_kb.window_count):
+            window_slice = small_kb.slice(window)
+            for si, ci in every_cell(window_slice):
+                memo_before = dict(window_slice._region_rulesets)
+                region = window_slice.region_at_ranks(si, ci)
+                assert window_slice._region_rulesets == memo_before
+                assert region.ruleset_size == len(
+                    window_slice.ruleset_for_region(si, ci)
+                ), (window, si, ci)

@@ -141,6 +141,51 @@ class TestEpochRetirement:
         assert cache.purged_entries == 0 and cache.purged_epochs == 0
 
 
+class TestSecondAskAdmission:
+    def test_first_miss_records_a_ghost_second_admits(self):
+        cache = ResponseCache(1 << 20)
+        assert cache.admit(KEY_A, 3) is False
+        assert cache.first_sightings == 1
+        assert len(cache) == 0 and cache.stores == 0
+        assert cache.current_bytes == ENTRY_OVERHEAD
+        # A ghost is no hit.
+        assert cache.lookup(KEY_A, accept_gzip=False) is None
+        assert cache.admit(KEY_A, 3) is True
+        assert cache.first_sightings == 1
+        cache.put(KEY_A, b"alpha", 3)
+        # The body took the ghost's place and charge.
+        assert cache.current_bytes == 5 + ENTRY_OVERHEAD
+        assert cache.counters()["entries"] == 1 and cache.stores == 1
+
+    def test_ghosts_and_bodies_evict_oldest_first(self):
+        body = b"x" * 100
+        # Two bodies and one ghost fill the budget.
+        cache = ResponseCache(2 * (len(body) + ENTRY_OVERHEAD) + ENTRY_OVERHEAD)
+        keys = [((n,), ()) for n in range(4)]
+        cache.admit(keys[0], EPOCH_FREE)
+        cache.put(keys[1], body, EPOCH_FREE)
+        cache.put(keys[2], body, EPOCH_FREE)
+        assert cache.current_bytes == cache.budget_bytes
+        cache.admit(keys[3], EPOCH_FREE)  # evicts the oldest: ghost 0
+        assert cache.evictions == 0  # evictions count bodies
+        assert cache.admit(keys[0], EPOCH_FREE) is False  # a new sighting
+        assert cache.evictions == 1  # ... which evicted body 1
+        assert cache.lookup(keys[1], accept_gzip=False) is None
+        assert cache.lookup(keys[2], accept_gzip=False) is not None
+        assert cache.admit(keys[3], EPOCH_FREE) is True
+        assert len(cache) == 1
+        assert cache.current_bytes == len(body) + 3 * ENTRY_OVERHEAD
+
+    def test_scoped_ghost_of_a_retired_epoch_is_purged(self):
+        cache = ResponseCache(1 << 20)
+        cache.admit(KEY_A, 3)
+        cache.put(KEY_B, b"body", 3)
+        cache.observe_epoch(4)
+        assert cache.current_bytes == 0 and len(cache) == 0
+        assert cache.purged_entries == 1  # the body, not the ghost
+        assert cache.admit(KEY_A, 3) is False
+
+
 class TestCounters:
     def test_counter_snapshot_keys(self):
         cache = filled()
@@ -166,4 +211,5 @@ class TestCounters:
             "gzip_variants",
             "bytes_served",
             "not_modified",
+            "first_sightings",
         }

@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -87,3 +90,35 @@ def test_version_is_pep440ish():
     parts = repro.__version__.split(".")
     assert len(parts) >= 2
     assert all(part.isdigit() for part in parts[:2])
+
+
+def test_core_builder_import_leaves_the_online_modules_unloaded():
+    """``repro.core`` resolves its exports lazily (PEP 562)."""
+    online = (
+        "repro.core.explorer",
+        "repro.core.incremental",
+        "repro.core.snapshot",
+        "repro.core.queries",
+    )
+    code = (
+        "import sys, repro.core.builder\n"
+        f"print([name for name in {online!r} if name in sys.modules])"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert completed.stdout.strip() == "[]"
+
+
+def test_core_exports_resolve_lazily_to_their_modules():
+    import repro.core as core
+
+    assert sorted(core.__all__) == sorted(core._EXPORTS)
+    assert core.TaraExplorer.__module__ == "repro.core.explorer"
+    assert not hasattr(core, "NoSuchExport")
