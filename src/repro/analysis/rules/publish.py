@@ -1,26 +1,24 @@
 """R007 — values published to shared readers are transitively immutable.
 
-The region-keyed cache works because a stored answer can be handed to
-any number of concurrent readers without copying: two threads thawing
-the same entry share the frozen value objects inside it.  One mutable
-container smuggled into that frozen form — a ``list`` inside a cached
-tuple, a ``dict`` field on a "frozen" dataclass — turns region-cache
-hits into cross-request aliasing bugs that no fingerprint test catches
-(the first request computes the right answer; the *second* one mutates
-it for everybody).  PRs 4–5 made every build byte-identical; this rule
-keeps served answers that way.
+The serving tier's byte cache hands one stored body to any number of
+later requests without copying, and the answer types those bodies are
+encoded from are shared by every reader of an answer.  One mutable
+container smuggled into a published value — a ``bytearray`` body, a
+``list`` inside a frozen tuple, a ``dict`` field on a "frozen"
+dataclass — turns cache hits into cross-request aliasing bugs that no
+fingerprint test catches (the first request computes the right answer;
+the *second* one mutates it for everybody).  PRs 4–5 made every build
+byte-identical; this rule keeps served answers that way.
 
 Three publish surfaces are checked:
 
-* the ``value`` argument of :meth:`RegionKeyedCache.put` — anything
-  stored in the cache — and, since PR 10, of
-  :meth:`ResponseCache.put` / :meth:`ResponseCache.put_gzip`: encoded
-  response bodies are spliced verbatim into every later matching
-  response, so a mutable value there corrupts wire bytes for all
-  future readers;
+* the ``value`` argument of :meth:`ResponseCache.put` /
+  :meth:`ResponseCache.put_gzip`: encoded response bodies are spliced
+  verbatim into every later matching response, so a mutable value
+  there corrupts wire bytes for all future readers;
 * every ``return`` of a function marked with a trailing
-  ``repro-lint: publish`` directive on its ``def`` line (seeded on the
-  service's freeze hook) — the declared freeze boundary;
+  ``repro-lint: publish`` directive on its ``def`` line — a declared
+  freeze boundary;
 * field annotations of frozen dataclasses in the answer-type layers:
   ``Dict``/``List``/``Set``/``bytearray`` (and their lowercase builtin
   forms) anywhere in a frozen class's field type mean the "immutable"
@@ -30,7 +28,7 @@ Three publish surfaces are checked:
 
 Expression verdicts come from :mod:`repro.analysis.dataflow`: reaching
 definitions inside the function, ``self.*`` alias tracking, and a
-bounded call-graph walk from the sink (so ``x = self._freeze(...)``
+bounded call-graph walk from the sink (so ``value = self.freeze(...)``
 resolves through the callee's returns).  Only *provably* mutable values
 are flagged; opaque expressions pass.
 """
@@ -52,7 +50,6 @@ from repro.analysis.project import (
 
 #: ``(class name, method, value-argument index)`` cache publish sinks.
 PUT_SINKS: Tuple[Tuple[str, str, int], ...] = (
-    ("RegionKeyedCache", "put", 1),
     ("ResponseCache", "put", 1),
     ("ResponseCache", "put_gzip", 1),
 )

@@ -12,7 +12,7 @@ Two harnesses share one workload registry (:mod:`repro.bench.workloads`):
   (``repro-bench-persist/1``), verifying answer fingerprints across
   loaders and gating v2 peak RSS strictly below v1 at 10x scale.
 
-The served paths (HTTP request → snapshot pin → cache tiers → explorer
+The served paths (HTTP request → snapshot pin → byte cache → explorer
 → encode → socket, and reads under concurrent appends) are measured by
 the repository benchmark in ``perfbench/`` (see ``BENCHMARK.json``).
 """

@@ -108,7 +108,7 @@ def probe_queries(
     The suite models one *interactive session*: every query carries a
     :class:`PeriodSpec` scoped to the trailing
     :data:`PROBE_REGION_WINDOWS` windows, the same region-scoped shape
-    the service cache keys on.  That scoping is what the lazy loader is
+    the served region keys take.  That scoping is what the lazy loader is
     for — an eager load pays for all windows regardless, a lazy load
     only materializes the region the analyst is looking at.  Settings
     are fixed multiples of the KB's own generation thresholds, sitting

@@ -103,7 +103,6 @@ from repro.datagen import (
 from repro.maras import MarasAnalyzer, MarasConfig
 from repro.serve import (
     DEFAULT_DRAIN_TIMEOUT,
-    DEFAULT_MAX_ENTRIES,
     DEFAULT_POOL_SIZE,
     DEFAULT_PORT,
     DEFAULT_RESPONSE_CACHE_BYTES,
@@ -269,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="query worker threads: a count or 'auto' "
                             "(one per CPU; "
                             f"default: {DEFAULT_POOL_SIZE})")
-    serve.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES,
-                       help=f"region-keyed cache capacity (default: {DEFAULT_MAX_ENTRIES})")
     serve.add_argument("--response-cache", type=_parse_memory_budget,
                        default=DEFAULT_RESPONSE_CACHE_BYTES, metavar="BYTES",
                        help="encoded-response byte-cache budget "
@@ -538,7 +535,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         pool_size=resolve_pool_size(args.pool_size),
-        max_entries=args.max_entries,
         drain_timeout=args.drain_timeout,
         response_cache_bytes=args.response_cache,
     )

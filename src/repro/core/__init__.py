@@ -53,7 +53,7 @@ if TYPE_CHECKING:
         WindowDiff,
     )
     from repro.core.regions import ParameterSetting, StableRegion, WindowSlice
-    from repro.core.snapshot import DEFAULT_SEGMENT_CAPACITY, Snapshot, SnapshotHandle
+    from repro.core.snapshot import Snapshot, SnapshotHandle
     from repro.core.rollup import max_support_error, rolled_up_mine
     from repro.core.trajectory import TrajectorySummary, summarize_trajectory
 
@@ -83,7 +83,7 @@ _EXPORTS = {
             "RollupQuery RuleTrajectory TrajectoryQuery WindowDiff",
         ),
         ("regions", "ParameterSetting StableRegion WindowSlice"),
-        ("snapshot", "DEFAULT_SEGMENT_CAPACITY Snapshot SnapshotHandle"),
+        ("snapshot", "Snapshot SnapshotHandle"),
         ("rollup", "max_support_error rolled_up_mine"),
         ("trajectory", "TrajectorySummary summarize_trajectory"),
     )
@@ -112,7 +112,6 @@ __all__ = [
     "RuleTrajectory",
     "Snapshot",
     "SnapshotHandle",
-    "DEFAULT_SEGMENT_CAPACITY",
     "TrajectoryQuery",
     "StableRegion",
     "ShardedArchive",

@@ -28,8 +28,8 @@ against a private copy-on-write successor:
    leave the shared table and the next publish reuses their ids;
 3. a new snapshot wraps the successor and is *atomically swapped in*
    under the publisher lock; readers that pinned the predecessor keep
-   answering against it, and it retires — cache segment and explorer
-   freed — when its last reader drains.
+   answering against it, and it retires — its explorer freed — when its
+   last reader drains.
 
 Readers obtain a pinned view with :meth:`snapshot`, which returns a
 context-managed :class:`~repro.core.snapshot.SnapshotHandle`.
@@ -45,13 +45,13 @@ survivors the serving tier has frozen (:mod:`repro.common.gcscope`).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from repro.common.errors import BuildInFlightError, ValidationError
 from repro.core.archive import TarArchive
 from repro.core.builder import GenerationConfig, TaraBuilder, TaraKnowledgeBase
 from repro.core.explorer import TaraExplorer
-from repro.core.snapshot import DEFAULT_SEGMENT_CAPACITY, Snapshot, SnapshotHandle
+from repro.core.snapshot import Snapshot, SnapshotHandle
 from repro.data.transactions import Transaction
 from repro.mining.rules import RuleCatalog
 
@@ -60,7 +60,7 @@ from repro.mining.rules import RuleCatalog
 
 
 class RetirementLedger:
-    """Retirement counters the publisher's snapshots report into.
+    """The retirement counter the publisher's snapshots report into.
 
     Each snapshot's ``on_retire`` callback is :meth:`record` on this
     ledger, which holds no reference back to the publisher; a bound
@@ -71,34 +71,26 @@ class RetirementLedger:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._snapshots = 0  # repro-lint: guarded-by=_lock
-        self._entries = 0  # repro-lint: guarded-by=_lock
 
-    def record(self, dropped_entries: int) -> None:
-        """Count one retired snapshot and its dropped segment entries."""
+    def record(self) -> None:
+        """Count one retired snapshot."""
         # Fired by Snapshot.release *after* it dropped Snapshot._lock,
         # and this lock is a leaf: no path takes another lock under it.
         with self._lock:
             self._snapshots += 1
-            self._entries += dropped_entries
 
-    def totals(self) -> Tuple[int, int]:
-        """``(retired snapshots, dropped segment entries)`` so far."""
+    def total(self) -> int:
+        """Retired snapshots so far."""
         with self._lock:
-            return self._snapshots, self._entries
+            return self._snapshots
 
 
 class IncrementalTara:
     """A TARA snapshot publisher that grows the database window-wise."""
 
-    def __init__(
-        self,
-        config: GenerationConfig,
-        *,
-        segment_capacity: int = DEFAULT_SEGMENT_CAPACITY,
-    ) -> None:
+    def __init__(self, config: GenerationConfig) -> None:
         self.config = config
         self._builder = TaraBuilder(config)
-        self._segment_capacity = segment_capacity
         self._lock = threading.Lock()
         self._building = False  # repro-lint: guarded-by=_lock
         self._retirements = RetirementLedger()
@@ -109,7 +101,6 @@ class IncrementalTara:
                 catalog=RuleCatalog(),
                 archive=TarArchive(),
             ),
-            segment_capacity=segment_capacity,
             on_retire=self._retirements.record,
         )
         # The publisher holds one standing pin on the current snapshot,
@@ -161,27 +152,22 @@ class IncrementalTara:
         return current.explorer()
 
     def snapshot_stats(self) -> Dict[str, object]:
-        """Publisher introspection for ``GET /v1/snapshot``."""
+        """Publisher introspection for ``GET /v1/snapshot``.
+
+        ``retired_entries`` reads 0: snapshots hold no cached answers.
+        The key stays because readers of the route index it.
+        """
         with self._lock:
             current = self._current
             building = self._building
-        retired_snapshots, retired_entries = self._retirements.totals()
         return {
             "epoch": current.epoch,
             "windows": current.window_count,
             "refs": current.refs,
             "building": building,
-            "retired_snapshots": retired_snapshots,
-            "retired_entries": retired_entries,
+            "retired_snapshots": self._retirements.total(),
+            "retired_entries": 0,
         }
-
-    def retired_entries(self) -> int:
-        """Cache-segment entries dropped by snapshot retirement so far.
-
-        :class:`repro.service.TaraService` polls this to account
-        retirements as invalidations in its metrics.
-        """
-        return self._retirements.totals()[1]
 
     # ------------------------------------------------------------------
     # publishing
@@ -216,7 +202,6 @@ class IncrementalTara:
             successor = Snapshot(
                 successor_kb.window_count,
                 successor_kb,
-                segment_capacity=self._segment_capacity,
                 on_retire=self._retirements.record,
             )
             # Standing pin first, then swap: between these two lines the

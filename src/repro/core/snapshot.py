@@ -5,17 +5,16 @@ incremental builder shared one mutable :class:`TaraKnowledgeBase`, with
 an integer epoch and cache purges as the only isolation.  This module
 promotes the epoch to a real copy-on-write snapshot object:
 
-* a :class:`Snapshot` is a *frozen* view — knowledge base, lazily built
-  explorer, and a private region-keyed cache segment — published by
-  :class:`repro.core.IncrementalTara` and never mutated afterwards;
+* a :class:`Snapshot` is a *frozen* view — knowledge base and lazily
+  built explorer — published by :class:`repro.core.IncrementalTara`
+  and never mutated afterwards;
 * readers *pin* a snapshot through a reference-counted
   :class:`SnapshotHandle` (a context manager); every query executes
   against the pinned view, so a concurrent publish can never change an
   answer mid-flight;
 * when the publisher swaps in a successor it drops its own standing
-  reference, and the superseded snapshot is **retired** — its cache
-  segment and explorer released — exactly once, when the last reader
-  drains.
+  reference, and the superseded snapshot is **retired** — its explorer
+  released — exactly once, when the last reader drains.
 
 Epoch arithmetic disappears from the serving layers: a snapshot's
 ``epoch`` (its window count at publication) is an identity readers carry
@@ -37,11 +36,7 @@ from typing import Callable, Optional, Type
 
 from repro.common.errors import RetiredSnapshotError
 from repro.core.builder import TaraKnowledgeBase
-from repro.core.cache import CacheEntry, CacheKey, RegionKeyedCache
 from repro.core.explorer import TaraExplorer
-
-#: Default capacity of one snapshot's region-keyed cache segment.
-DEFAULT_SEGMENT_CAPACITY = 1024
 
 
 class Snapshot:
@@ -58,20 +53,17 @@ class Snapshot:
         epoch: int,
         knowledge_base: TaraKnowledgeBase,
         *,
-        segment_capacity: int = DEFAULT_SEGMENT_CAPACITY,
         explorer: Optional[TaraExplorer] = None,
-        on_retire: Optional[Callable[[int], None]] = None,
+        on_retire: Optional[Callable[[], None]] = None,
     ) -> None:
         self.epoch = epoch
         self.knowledge_base = knowledge_base
-        self._segment_capacity = segment_capacity
         self._on_retire = on_retire
         self._lock = threading.Lock()
         self._refs = 0  # repro-lint: guarded-by=_lock
         self._retired = False  # repro-lint: guarded-by=_lock
         self._retire_count = 0  # repro-lint: guarded-by=_lock
         self._explorer = explorer  # repro-lint: guarded-by=_lock
-        self._segment: Optional["RegionKeyedCache"] = None  # repro-lint: guarded-by=_lock
 
     # ------------------------------------------------------------------
     # identity / introspection
@@ -89,7 +81,7 @@ class Snapshot:
 
     @property
     def retired(self) -> bool:
-        """True once the last reader drained and the segment was freed."""
+        """True once the last reader drained and the explorer was freed."""
         with self._lock:
             return self._retired
 
@@ -116,11 +108,11 @@ class Snapshot:
     def release(self) -> None:
         """Drop one reference; the last drop retires the snapshot.
 
-        Retirement frees the cache segment and the explorer exactly
-        once; the ``on_retire`` callback (publisher bookkeeping) fires
-        after the lock is released so it may take other locks freely.
+        Retirement frees the explorer exactly once; the ``on_retire``
+        callback (publisher bookkeeping) fires after the lock is
+        released so it may take other locks freely.
         """
-        dropped: Optional[int] = None
+        retired = False
         with self._lock:
             if self._refs <= 0:
                 raise RetiredSnapshotError(
@@ -128,14 +120,11 @@ class Snapshot:
                 )
             self._refs -= 1
             if self._refs == 0 and not self._retired:
-                self._retired = True
+                self._retired = retired = True
                 self._retire_count += 1
-                segment = self._segment
-                dropped = 0 if segment is None else segment.clear()
-                self._segment = None
                 self._explorer = None
-        if dropped is not None and self._on_retire is not None:
-            self._on_retire(dropped)
+        if retired and self._on_retire is not None:
+            self._on_retire()
 
     def handle(self) -> "SnapshotHandle":
         """Pin and wrap in a context-managed handle."""
@@ -161,42 +150,6 @@ class Snapshot:
                 explorer = TaraExplorer(self.knowledge_base)
                 self._explorer = explorer
             return explorer
-
-    # ------------------------------------------------------------------
-    # cache segment
-    # ------------------------------------------------------------------
-    def cached(self, key: CacheKey) -> Optional[CacheEntry]:
-        """The segment entry at *key*, or ``None`` (miss or retired)."""
-        with self._lock:
-            if self._segment is None:
-                return None
-            return self._segment.get(key)
-
-    def store(self, key: CacheKey, value: object) -> int:
-        """Memoize one frozen answer in the segment; returns evictions.
-
-        Always correct without any epoch re-check: the caller holds a
-        pin, so the value was computed against exactly this view; if the
-        snapshot was superseded meanwhile the entry simply serves the
-        remaining pinned readers until retirement clears the segment.
-        A store after retirement is dropped silently (the answer was
-        still correct; there is just nobody left to reuse it).
-        """
-        with self._lock:
-            if self._retired:
-                return 0
-            segment = self._segment
-            if segment is None:
-                segment = RegionKeyedCache(max_entries=self._segment_capacity)
-                self._segment = segment
-            return segment.put(key, value, self.epoch)
-
-    def segment_info(self) -> "tuple[int, int]":
-        """``(entries, evictions)`` of the segment (0, 0 before first use)."""
-        with self._lock:
-            if self._segment is None:
-                return 0, 0
-            return len(self._segment), self._segment.evictions
 
 
 class SnapshotHandle:

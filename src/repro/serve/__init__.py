@@ -49,7 +49,6 @@ from repro.serve.respcache import (
 )
 from repro.serve.server import (
     DEFAULT_DRAIN_TIMEOUT,
-    DEFAULT_MAX_ENTRIES,
     DEFAULT_PORT,
     ServeConfig,
     TaraServer,
@@ -61,7 +60,6 @@ from repro.serve.server import (
 __all__ = [
     "AsgiApp",
     "DEFAULT_DRAIN_TIMEOUT",
-    "DEFAULT_MAX_ENTRIES",
     "DEFAULT_POOL_SIZE",
     "DEFAULT_PORT",
     "DEFAULT_RESPONSE_CACHE_BYTES",

@@ -1,12 +1,13 @@
 """Request coalescing — concurrent identical queries execute once.
 
-The serving tier's cache (:mod:`repro.core.cache`) deduplicates
-*sequential* identical work; under concurrency a burst of region-
-equivalent requests can still all miss before the first one finishes
-computing.  :class:`RequestCoalescer` closes that gap: requests are
-keyed by the same canonical integer region key the cache uses
-(:mod:`repro.service.keys`), and while one execution for a key is in
-flight every further arrival awaits its result instead of executing.
+The serving tier's byte cache (:mod:`repro.serve.respcache`)
+deduplicates *sequential* identical work once a key has been asked
+twice; under concurrency a burst of region-equivalent requests can
+still all miss before the first one finishes computing.
+:class:`RequestCoalescer` closes that gap: requests are keyed by their
+canonical integer region key (:mod:`repro.service.keys`), and while one
+execution for a key is in flight every further arrival awaits its
+result instead of executing.
 
 Snapshot safety rides on the key itself: generation-scoped queries
 embed the epoch of the pinned snapshot in their canonical key, and

@@ -31,18 +31,21 @@ bytes end to end: answers are serialized once through
 fragments, chunked emission) and the resulting blob is stored in a
 :class:`repro.serve.respcache.ResponseCache` keyed by ``(region key,
 echo tag, encoding)`` from the second miss of that key on (the first
-leaves a bodiless ghost, :meth:`ResponseCache.admit`).  A warm request
-is a dict probe plus a splice of ``envelope prefix + cached blob +
-"}"`` — no dict building, no ``json.dumps``.  Coalescing happens at the
-same byte layer: followers receive the leader's encoded chunks and only
-prepend their own envelope prefix (their ``coalesced`` flag differs),
-with zero re-encode, and never admit.  ``Accept-Encoding: gzip``
+leaves a bodiless ghost, :meth:`ResponseCache.admit`).  It is the
+served path's only answer cache: both misses run the explorer.  A warm
+request is a dict probe plus a splice of ``envelope prefix + cached
+blob + "}"`` — no dict building, no ``json.dumps``.  Coalescing happens
+at the same byte layer: followers receive the leader's encoded chunks
+and only prepend their own envelope prefix (their ``coalesced`` flag
+differs), with zero re-encode, and never admit.  ``Accept-Encoding: gzip``
 clients get a cached pre-compressed variant (compressed once, on the
 admitting ask, which is answered with it, or else on the first
 gzip-accepting hit), and conditional requests short-circuit to 304
-before any execution: the weak ETag names ``(query class, region key,
-echo)``, and scoped region keys embed the snapshot epoch, so a publish
-changes the ETag by construction.
+before any execution: the weak ETag names the answer — ``(query class,
+region key, echo)`` — not the envelope.  Scoped region keys embed the
+snapshot epoch, so a publish changes their ETag by construction; an
+epoch-free key keeps its ETag, and its 304, across publishes, because
+its answer over explicit immutable windows is unchanged.
 
 Snapshot consistency: the gateway pins the current MVCC snapshot
 *before* decoding work begins, canonicalizes against the pinned view,
@@ -175,9 +178,11 @@ def answer_etag(
 ) -> str:
     """Weak validator for one cacheable response identity.
 
-    Hashes ``(query class, canonical key, echo tag)`` — the canonical
-    key embeds the snapshot epoch for generation-scoped queries, so a
-    publish rotates the ETag without any bookkeeping.  Weak (``W/``)
+    Hashes ``(query class, canonical key, echo tag)``: it names the
+    answer, not the envelope around it.  The canonical key embeds the
+    snapshot epoch for generation-scoped queries, so a publish rotates
+    their ETag without any bookkeeping, while an epoch-free answer
+    keeps its ETag although the envelope's epoch moves.  Weak (``W/``)
     because the identity and gzip encodings of one answer share it.
     """
     material = repr((query_class, key, echo)).encode("utf-8")
@@ -584,7 +589,9 @@ class QueryGateway:
             async def store_gzip(blob: bytes) -> bytes:
                 # Compress the complete cached-variant body once
                 # (off-loop) and store it; the asking client and every
-                # later gzip client get these bytes.
+                # later gzip client get these bytes.  The envelope names
+                # the pinned epoch, so the variant is scoped to it even
+                # when the answer blob is epoch-free.
                 prefix = envelope_prefix(
                     canonical.query_class,
                     snapshot.epoch,
@@ -595,7 +602,7 @@ class QueryGateway:
                     self._pool, _gzip_bytes, prefix + blob + ENVELOPE_SUFFIX
                 )
                 self.respcache.put_gzip(
-                    response_key, compressed, canonical.epoch
+                    response_key, compressed, snapshot.epoch
                 )
                 return compressed
 

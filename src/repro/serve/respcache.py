@@ -2,7 +2,7 @@
 
 PR 7 measured the serving tier spending >99% of a warm Q1 request
 re-running ``encode_answer`` + ``json.dumps`` over ~20k trajectory rows
-the service cache had already answered in microseconds.  PR 8's MVCC
+an answer cache had already answered in microseconds.  PR 8's MVCC
 snapshots make the fix sound: an answer is immutable per ``(canonical
 region key, snapshot epoch)``, therefore its encoded bytes are too —
 encode once, serve bytes until the snapshot retires.
@@ -17,7 +17,7 @@ variants**, keyed by ``(region key, echo tag, encoding)``:
 * the *echo tag* (:func:`repro.service.keys.echo_tag`) carries the raw
   caller floats Q2/Q3 answers echo back — region-equivalent requests
   with different raw settings get distinct byte entries even though
-  they share one value-cache entry;
+  they share one region key;
 * the *encoding* is ``"identity"`` (the bare answer blob, spliced
   between a per-request envelope prefix and the closing brace) or
   ``"gzip"`` (one complete pre-compressed response body).
@@ -28,8 +28,10 @@ cache, and scoped keys embed their epoch, so when :meth:`observe_epoch`
 is handed a pinned epoch, every generation-scoped bucket that is not
 that epoch belongs to a retired snapshot, is unreachable forever, and
 is purged eagerly — identity, never ordering (rule R008).  Epoch-free
-entries — explicit immutable windows — survive publishes, exactly like
-the shared value cache.  Byte accounting follows PR 9's storage LRU:
+entries — explicit immutable windows — survive publishes.  A gzip
+variant is the exception: it holds a whole response, whose envelope
+names the pinned epoch, so it is always stored under that epoch.
+Byte accounting follows PR 9's storage LRU:
 one byte budget, least-recently-served eviction, oversize rejection,
 and peak tracking.
 
@@ -195,7 +197,11 @@ class ResponseCache:
         return self._store(key + (IDENTITY,), value, epoch)
 
     def put_gzip(self, key: ResponseKey, value: bytes, epoch: int) -> None:
-        """Store the pre-compressed complete response body for *key*."""
+        """Store the pre-compressed complete response body for *key*.
+
+        *epoch* is the pinned snapshot's, even for an epoch-free *key*:
+        the body's envelope names it.
+        """
         entry_key = key + (GZIP,)
         fresh = entry_key not in self._entries
         if self._store(entry_key, value, epoch) and fresh:
@@ -265,12 +271,13 @@ class ResponseCache:
 
         Epoch validity is identity, never age (rule R008): an entry's
         bucket either *is* the epoch some pinned snapshot just named,
-        or its snapshot retired and the bytes are dead.  Scoped keys
-        embed their epoch, so a lookup pinned to *epoch* can only ever
-        name entries in its own bucket — every other bucket is
-        unreachable and is dropped eagerly, the response-cache analogue
-        of PR 8's retire-with-snapshot segment drop.  No ordering is
-        assumed, so the purge stays correct under any epoch scheme.
+        or its snapshot retired and the bytes are dead.  A scoped key
+        embeds its epoch, and a gzip variant's envelope names the epoch
+        it is stored under, so every other bucket holds bytes no
+        request pinned to *epoch* may serve, and is dropped eagerly —
+        the response-cache analogue of PR 8's snapshot retirement.  No
+        ordering is assumed, so the purge stays correct under any
+        epoch scheme.
 
         During the drain window right after a publish, requests pinned
         to the outgoing snapshot interleave with ones pinned to the new

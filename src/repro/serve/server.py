@@ -46,9 +46,6 @@ from repro.service.service import ServiceSource, TaraService
 #: Default TCP port (unassigned range, stable across docs and tests).
 DEFAULT_PORT = 8765
 
-#: Default region-keyed cache capacity of the served service.
-DEFAULT_MAX_ENTRIES = 1024
-
 #: Default graceful-shutdown drain window, in seconds.
 DEFAULT_DRAIN_TIMEOUT = 5.0
 
@@ -68,7 +65,6 @@ class ServeConfig:
     port: int = DEFAULT_PORT
     pool_size: int = DEFAULT_POOL_SIZE
     backlog: int = 100
-    max_entries: int = DEFAULT_MAX_ENTRIES
     drain_timeout: float = DEFAULT_DRAIN_TIMEOUT
     max_body: int = DEFAULT_MAX_BODY
     response_cache_bytes: int = DEFAULT_RESPONSE_CACHE_BYTES
@@ -256,7 +252,7 @@ class TaraServer:
 
 def create_server(source: ServiceSource, config: ServeConfig) -> TaraServer:
     """Build a server over a fresh :class:`TaraService` for *source*."""
-    service = TaraService(source, max_entries=config.max_entries)
+    service = TaraService(source)
     return TaraServer(service, config)
 
 

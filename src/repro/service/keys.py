@@ -3,17 +3,19 @@
 The paper's equivalence (Definition 11) says every parameter setting
 inside one time-aware stable region yields the *same* ruleset.  The
 serving layer exploits that by canonicalizing each request to a tuple
-of plain integers before it ever touches the cache:
+of plain integers, which keys the serving tier's byte cache
+(:mod:`repro.serve.respcache`) and request coalescer
+(:mod:`repro.serve.coalesce`):
 
 * each ``(window, setting)`` pair becomes the window's **stable-region
   id** (:meth:`repro.core.regions.WindowSlice.region_id`) — two settings
-  in the same region therefore share one cache entry, and raw float
+  in the same region therefore share one key, and raw float
   thresholds never participate in key equality (rule R001's spirit);
 * generation-scoped defaults (``spec=None`` = "all windows",
   ``window=None`` = "the latest window") are resolved to explicit
   window indexes **and** tagged with the serving epoch, so a window
-  append retires exactly those entries while explicit per-window
-  entries — still valid, because archived windows are immutable — keep
+  append retires exactly those keys while explicit per-window
+  keys — still valid, because archived windows are immutable — keep
   serving.
 
 Key layouts (every element an ``int``; the class code comes first and
@@ -28,12 +30,11 @@ Q5     ``(5, tag, n, *windows, *region_ids, m, *items)``
 =====  ================================================================
 
 ``tag`` is :data:`EPOCH_FREE` for fully-explicit queries and the pinned
-snapshot's epoch for generation-scoped ones.  Epoch-free entries live in
-the service-owned shared cache; scoped entries live in the pinned
-snapshot's private segment and are retired wholesale with it.  Roll-up
-requests canonicalize with ``key=None``: their answers threshold
-*merged* counts, so stable regions do not imply equal answers and the
-service never caches them.
+snapshot's epoch for generation-scoped ones; the byte cache purges a
+scoped key's bytes once a request pins a later epoch.  Roll-up requests
+canonicalize with ``key=None``: their answers threshold *merged*
+counts, so stable regions do not imply equal answers and the serving
+tier neither caches nor coalesces them.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from typing import List, Optional, Tuple
 
 from repro.common.errors import QueryError
 from repro.core.builder import TaraKnowledgeBase
-from repro.core.cache import CacheKey
 from repro.core.queries import (
     CompareQuery,
     ContentQuery,
@@ -56,11 +56,11 @@ from repro.core.queries import (
 from repro.core.regions import ParameterSetting
 from repro.data.periods import PeriodSpec
 
-#: Epoch tag of entries that never go stale (explicit windows only).
+#: Epoch tag of keys that never go stale (explicit windows only).
 EPOCH_FREE = -1
 
-#: :data:`repro.core.cache.CacheKey`, re-exported — a fully-integer
-#: cache key (see the module docstring for layouts).
+#: A fully-integer region key (see the module docstring for layouts).
+CacheKey = Tuple[int, ...]
 
 _MODE_CODES = {MatchMode.SINGLE: 0, MatchMode.EXACT: 1}
 
@@ -75,8 +75,8 @@ class CanonicalQuery:
         resolved: the request with every generation-scoped default
             replaced by explicit window indexes; executing it yields the
             exact answer the key identifies.
-        key: the integer cache key, or ``None`` when the request is not
-            region-cacheable (roll-up).
+        key: the integer region key, or ``None`` when the request is
+            not region-cacheable (roll-up).
         epoch: :data:`EPOCH_FREE`, or the epoch the key is scoped to.
     """
 
@@ -84,16 +84,6 @@ class CanonicalQuery:
     resolved: ExplorerQuery
     key: Optional[CacheKey]
     epoch: int
-
-    @property
-    def scoped(self) -> bool:
-        """True when the key belongs in one snapshot's cache segment.
-
-        Scoped keys resolved a generation default (``spec=None`` /
-        ``window=None``) against a particular snapshot; epoch-free keys
-        name explicit immutable windows and live in the shared cache.
-        """
-        return self.epoch != EPOCH_FREE
 
 
 def _resolve_spec(
@@ -125,7 +115,7 @@ def canonicalize(
 
     Raises the same domain errors the explorer would (unknown window,
     setting below generation thresholds), so invalid requests fail
-    before the cache is consulted.
+    before any cache is consulted.
     """
     if isinstance(query, TrajectoryQuery):
         spec, scoped = _resolve_spec(query.spec, knowledge_base)
@@ -222,14 +212,13 @@ def echo_tag(query: ExplorerQuery) -> Tuple[float, ...]:
     """The raw caller floats an answer *echoes back* verbatim.
 
     Region keys deliberately erase raw thresholds (two settings in one
-    stable region share a key), but Q2/Q3 answers re-echo the caller's
-    exact floats (:meth:`repro.service.service.TaraService` thaws them
-    back in), so two region-equivalent requests with different raw
-    settings produce answers that differ *in those echoed fields only*.
-    Value-level caching is unaffected — the thaw re-echoes per caller —
-    but a cache of encoded response *bytes* must key on the echo too,
-    or one caller's floats would be served to another.  Q1/Q5 answers
-    echo nothing and return the empty tag.
+    stable region share a key), but Q2/Q3 answers echo the caller's
+    exact floats (the resolved request keeps them), so two
+    region-equivalent requests with different raw settings produce
+    answers that differ *in those echoed fields only*.  A cache of
+    encoded response bytes must therefore key on the echo too, or one
+    caller's floats would be served to another.  Q1/Q5 answers echo
+    nothing and return the empty tag.
     """
     if isinstance(query, CompareQuery):
         return (

@@ -1,14 +1,18 @@
-"""Serving-layer observability: hit/miss counters and latency histograms.
+"""Serving-layer observability: execution counters and latency histograms.
 
 :class:`ServiceMetrics` accumulates, per query class (``Q1``, ``Q2``,
-``Q3``, ``Q5``, plus the uncached passthrough classes), cache hit/miss
-counts and separate hit/miss latency histograms, together with global
-eviction and invalidation counters.  Everything is exposed as a plain
-``dict`` (:meth:`ServiceMetrics.as_dict`), which the ``service`` section
-of the serving tier's ``/metrics`` route carries.
+``Q3``, ``Q5``, ``rollup``), how many requests the service executed and
+a latency histogram of those executions.  Everything is exposed as a
+plain ``dict`` (:meth:`ServiceMetrics.as_dict`), which the ``service``
+section of the serving tier's ``/metrics`` route carries.
 
-The metrics objects are plain mutable accumulators; like the cache they
-rely on :class:`repro.service.service.TaraService` for synchronization.
+The service keeps no answers, so every request it serves runs the
+explorer and counts as a miss.  The ``hits``/``hit_latency`` entries of
+each class and the ``evictions``/``invalidations`` counters read 0;
+they stay because ``/metrics`` readers index those paths.
+
+The metrics object is a plain mutable accumulator; it relies on
+:class:`repro.service.service.TaraService` for synchronization.
 """
 
 from __future__ import annotations
@@ -65,43 +69,20 @@ class LatencyHistogram:
 
 
 class ServiceMetrics:
-    """Per-query-class serving counters for one :class:`TaraService`."""
+    """Per-query-class execution counters for one :class:`TaraService`."""
 
     def __init__(self) -> None:
-        self.hits: Dict[str, int] = {}
         self.misses: Dict[str, int] = {}
-        self.hit_latency: Dict[str, LatencyHistogram] = {}
         self.miss_latency: Dict[str, LatencyHistogram] = {}
-        self.evictions = 0
-        self.invalidations = 0
         self.storage: Dict[str, int] = {}
-        self._order: List[str] = []
 
-    def _register(self, query_class: str) -> None:
-        if query_class not in self.hits:
-            self.hits[query_class] = 0
+    def observe(self, query_class: str, seconds: float) -> None:
+        """Record one execution of *query_class* taking *seconds*."""
+        if query_class not in self.misses:
             self.misses[query_class] = 0
-            self.hit_latency[query_class] = LatencyHistogram()
             self.miss_latency[query_class] = LatencyHistogram()
-            self._order.append(query_class)
-
-    def observe(self, query_class: str, hit: bool, seconds: float) -> None:
-        """Record one served request of *query_class* taking *seconds*."""
-        self._register(query_class)
-        if hit:
-            self.hits[query_class] += 1
-            self.hit_latency[query_class].record(seconds)
-        else:
-            self.misses[query_class] += 1
-            self.miss_latency[query_class].record(seconds)
-
-    def record_evictions(self, count: int) -> None:
-        """Add *count* cache evictions to the global counter."""
-        self.evictions += count
-
-    def record_invalidations(self, count: int) -> None:
-        """Add *count* epoch-invalidated entries to the global counter."""
-        self.invalidations += count
+        self.misses[query_class] += 1
+        self.miss_latency[query_class].record(seconds)
 
     def set_storage_counters(self, counters: Dict[str, int]) -> None:
         """Replace the storage-layer gauge snapshot.
@@ -116,22 +97,22 @@ class ServiceMetrics:
         self.storage = dict(counters)
 
     def requests(self, query_class: str) -> int:
-        """Total requests served for *query_class* (hits + misses)."""
-        return self.hits.get(query_class, 0) + self.misses.get(query_class, 0)
+        """Total requests served for *query_class*."""
+        return self.misses.get(query_class, 0)
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly snapshot of every counter and histogram."""
         classes: Dict[str, object] = {}
-        for query_class in self._order:
+        for query_class, misses in self.misses.items():
             classes[query_class] = {
-                "hits": self.hits[query_class],
-                "misses": self.misses[query_class],
-                "hit_latency": self.hit_latency[query_class].as_dict(),
+                "hits": 0,
+                "misses": misses,
+                "hit_latency": LatencyHistogram().as_dict(),
                 "miss_latency": self.miss_latency[query_class].as_dict(),
             }
         return {
             "classes": classes,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
+            "evictions": 0,
+            "invalidations": 0,
             "storage": dict(self.storage),
         }

@@ -1,54 +1,33 @@
 """The thread-safe online serving façade over the TARA explorer.
 
 :class:`TaraService` answers the explorer's Q1/Q2/Q3/Q5 request classes
-through bounded, region-keyed LRU caches:
+(and roll-ups) against **pinned snapshots**
+(:class:`repro.core.Snapshot`): it pins the current view, canonicalizes
+the request against it (:mod:`repro.service.keys`), runs the pinned
+snapshot's explorer on the resolved request, and records the execution
+time per query class (:class:`ServiceMetrics`).  There is no epoch
+re-check anywhere: an answer computed under a pin is correct for that
+pin by construction.
 
-1. every request is canonicalized (:mod:`repro.service.keys`) to an
-   all-integer key built from stable-region ids, so two settings inside
-   one time-aware stable region share a single cache entry;
-2. answers are stored *frozen* (immutable containers) and *thawed* on
-   the way out — callers receive fresh mutable containers and answers
-   that echo their own request's float settings, never another
-   caller's region-equivalent ones;
-3. every request executes against a **pinned snapshot**
-   (:class:`repro.core.Snapshot`): the service pins the current view,
-   canonicalizes and answers against it, and releases the pin when the
-   answer is thawed.  Epoch-free entries (explicit windows, valid
-   forever because archived windows are immutable) live in a cache the
-   service owns; generation-scoped entries live in the *snapshot's own
-   segment* and vanish wholesale when the snapshot retires.  There is
-   no epoch re-check anywhere: an answer computed under a pin is
-   correct for that pin by construction.
+The service keeps no answers.  The served path's one answer cache is
+the serving tier's byte cache (:class:`repro.serve.respcache.ResponseCache`),
+keyed by the same region keys, which keeps a key's encoded bytes from
+its second ask on.  Every answer returned here is freshly computed and
+caller-owned, and Q2/Q3 answers echo the caller's own float settings,
+because the resolved request keeps them.
 
-Concurrency: one re-entrant lock guards the shared cache and metrics;
-the pinned snapshot guards its segment with its own lock (global order:
-``IncrementalTara._lock`` → ``TaraService._lock`` → ``Snapshot._lock``;
-no path here holds two of them at once).  Cache misses compute *outside*
-every lock, so a slow first query does not serialize the service;
-concurrent misses on the same key each compute and the last write wins
-(benign — region equivalence guarantees they computed equal answers).
+Concurrency: one lock guards the metrics; execution runs outside it,
+so a slow query does not serialize the service.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-    cast,
-    overload,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Union, overload
 
 from repro.common.errors import ValidationError
 from repro.common.timing import stopwatch
 from repro.core.builder import TaraKnowledgeBase
-from repro.core.cache import CacheEntry, RegionKeyedCache
 from repro.core.explorer import ExplorerAnswer, TaraExplorer
 from repro.core.incremental import IncrementalTara
 from repro.core.queries import (
@@ -66,7 +45,7 @@ from repro.core.queries import (
 from repro.core.snapshot import Snapshot, SnapshotHandle
 from repro.data.transactions import Transaction
 from repro.mining.rules import RuleId
-from repro.service.keys import EPOCH_FREE, CacheKey, CanonicalQuery, canonicalize
+from repro.service.keys import CanonicalQuery, canonicalize
 from repro.service.metrics import ServiceMetrics
 
 #: Sources a service can wrap.
@@ -74,7 +53,7 @@ ServiceSource = Union[TaraKnowledgeBase, TaraExplorer, IncrementalTara]
 
 
 class TaraService:
-    """Thread-safe, cached query serving over one TARA knowledge base.
+    """Thread-safe query serving over one TARA knowledge base.
 
     Wraps a :class:`TaraKnowledgeBase`, an existing
     :class:`TaraExplorer` (both served as a single static snapshot), or
@@ -83,16 +62,9 @@ class TaraService:
     already in flight).
     """
 
-    def __init__(
-        self,
-        source: ServiceSource,
-        *,
-        max_entries: int = 1024,
-    ) -> None:
-        self._lock = threading.RLock()
-        self._shared = RegionKeyedCache(max_entries=max_entries)  # repro-lint: guarded-by=_lock
+    def __init__(self, source: ServiceSource) -> None:
+        self._lock = threading.Lock()
         self.metrics = ServiceMetrics()
-        self._retired_seen = 0  # repro-lint: guarded-by=_lock
         # Exactly one of the two is set, in __init__, and never rebound:
         # either we front a publisher, or we hold one static snapshot
         # pinned for the service's whole lifetime.
@@ -104,15 +76,12 @@ class TaraService:
             static = Snapshot(
                 source.knowledge_base.window_count,
                 source.knowledge_base,
-                segment_capacity=max_entries,
                 explorer=source,
             )
             static.pin()
             self._static = static
         elif isinstance(source, TaraKnowledgeBase):
-            static = Snapshot(
-                source.window_count, source, segment_capacity=max_entries
-            )
+            static = Snapshot(source.window_count, source)
             static.pin()
             self._static = static
         else:
@@ -149,25 +118,6 @@ class TaraService:
         """Epoch of the currently published snapshot."""
         with self.pin() as snapshot:
             return snapshot.epoch
-
-    def cache_info(self) -> Dict[str, int]:
-        """Occupancy and lifetime evictions across both cache tiers.
-
-        ``entries`` counts the shared (epoch-free) cache plus the
-        current snapshot's segment; segments of retired snapshots are
-        gone and accounted as invalidations in :attr:`metrics`.
-        """
-        self._sync_retirements()
-        with self.pin() as snapshot:
-            segment_entries, segment_evictions = snapshot.segment_info()
-            epoch = snapshot.epoch
-        with self._lock:
-            return {
-                "entries": len(self._shared) + segment_entries,
-                "max_entries": self._shared.max_entries,
-                "evictions": self._shared.evictions + segment_evictions,
-                "epoch": epoch,
-            }
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """Service-tier metrics dict with fresh storage gauges.
@@ -217,24 +167,6 @@ class TaraService:
             )
         return self._publisher.publish(batches)
 
-    def _sync_retirements(self) -> None:
-        """Fold snapshot retirements into the invalidation metric.
-
-        Retirement happens on whatever thread drops the last pin; the
-        publisher counts dropped segment entries and we pull the delta
-        here (on the serving path) rather than re-entering the service
-        from the retirement callback.
-        """
-        publisher = self._publisher
-        if publisher is None:
-            return
-        total = publisher.retired_entries()
-        with self._lock:
-            delta = total - self._retired_seen
-            if delta > 0:
-                self._retired_seen = total
-                self.metrics.record_invalidations(delta)
-
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
@@ -254,13 +186,7 @@ class TaraService:
     def execute(self, query: RollupQuery) -> RollupAnswer: ...
 
     def execute(self, query: ExplorerQuery) -> ExplorerAnswer:
-        """Serve one request against a freshly pinned snapshot.
-
-        Cache hits thaw the stored answer; misses execute the resolved
-        request on the pinned snapshot's explorer (outside every lock),
-        freeze and store the answer, and return it.  Roll-up requests
-        pass through uncached (their answers are not region-invariant).
-        """
+        """Serve one request against a freshly pinned snapshot."""
         with self.pin() as snapshot:
             canonical = canonicalize(
                 query, snapshot.knowledge_base, snapshot.epoch
@@ -278,127 +204,26 @@ class TaraService:
         *canonical* is *query* canonicalized against *snapshot*: the
         serving gateway pins once per request, canonicalizes against
         that pin (so coalescing and execution observe one view), and
-        hands its canonical form on, so a served miss is canonicalized
-        once.  The caller owns the pin and must hold it until the
-        answer is returned.
+        hands its canonical form on, so a served request is
+        canonicalized once.  The answer is the pinned explorer's for
+        ``canonical.resolved``, which keeps *query*'s own thresholds.
+        The caller owns the pin and must hold it until the answer is
+        returned.
         """
         with stopwatch() as clock:
-            hit = False
-            frozen: object = None
-            if canonical.key is not None:
-                entry = self._cache_get(canonical.key, canonical, snapshot)
-                if entry is not None:
-                    hit = True
-                    frozen = entry.value
-            if not hit:
-                answer = snapshot.explorer().execute(canonical.resolved)
-                frozen = self._freeze(canonical, answer)
-                if canonical.key is not None:
-                    evicted = self._cache_put(
-                        canonical.key, canonical, snapshot, frozen
-                    )
-                    with self._lock:
-                        self.metrics.record_evictions(evicted)
-            result = self._thaw(canonical, query, frozen)
-        self._sync_retirements()
+            answer = snapshot.explorer().execute(canonical.resolved)
         with self._lock:
-            self.metrics.observe(canonical.query_class, hit, clock.seconds)
-        return result
+            self.metrics.observe(canonical.query_class, clock.seconds)
+        return answer
 
     def uncached(self, query: ExplorerQuery) -> ExplorerAnswer:
-        """Execute *query* on a pinned snapshot, bypassing both caches.
+        """Execute *query* on a pinned snapshot, recording no metrics.
 
         The tests and the benchmark's body verification use this to
-        check that cached and served answers equal freshly computed ones.
+        check that served answers equal freshly computed ones.
         """
         with self.pin() as snapshot:
             canonical = canonicalize(
                 query, snapshot.knowledge_base, snapshot.epoch
             )
             return snapshot.explorer().execute(canonical.resolved)
-
-    # ------------------------------------------------------------------
-    # the two cache tiers
-    # ------------------------------------------------------------------
-    def _cache_get(
-        self, key: CacheKey, canonical: CanonicalQuery, snapshot: Snapshot
-    ) -> Optional[CacheEntry]:
-        """Look *key* up in the tier the canonical query belongs to."""
-        if canonical.scoped:
-            return snapshot.cached(key)
-        with self._lock:
-            return self._shared.get(key)
-
-    def _cache_put(
-        self,
-        key: CacheKey,
-        canonical: CanonicalQuery,
-        snapshot: Snapshot,
-        frozen: object,
-    ) -> int:
-        """Store into the right tier; returns how many entries evicted.
-
-        Scoped answers go into the pinned snapshot's segment — always
-        correct, because the value was computed against exactly that
-        view; when the snapshot retires, the whole segment goes with
-        it.  Epoch-free answers go into the service-owned shared cache
-        and outlive every snapshot.
-        """
-        if canonical.scoped:
-            return snapshot.store(key, frozen)
-        with self._lock:
-            return self._shared.put(key, frozen, EPOCH_FREE)
-
-    # ------------------------------------------------------------------
-    # freeze / thaw
-    # ------------------------------------------------------------------
-    # repro-lint: publish
-    def _freeze(self, canonical: CanonicalQuery, answer: object) -> object:
-        """Convert *answer* to the immutable form stored in the cache."""
-        if canonical.query_class == "Q1":
-            trajectories = cast(List[RuleTrajectory], answer)
-            return tuple(trajectories)
-        if canonical.query_class == "Q5":
-            per_window = cast(Dict[int, List[RuleId]], answer)
-            return tuple(
-                (window, tuple(ids)) for window, ids in per_window.items()
-            )
-        # Q2/Q3 answers are frozen dataclasses already.
-        return answer
-
-    def _thaw(
-        self, canonical: CanonicalQuery, query: ExplorerQuery, frozen: object
-    ) -> ExplorerAnswer:
-        """Rebuild a caller-owned answer from the frozen cached form.
-
-        Outer containers come back fresh (appending to or popping from
-        a served answer cannot corrupt the cache); the frozen value
-        objects inside (trajectories, diffs, regions) are shared with
-        the cache and must be treated as read-only.  Q2/Q3 answers are
-        re-echoed with the *caller's* settings — a region-equivalent
-        entry may have been populated by a request with different raw
-        floats.
-        """
-        if canonical.query_class == "Q1":
-            stored = cast(Tuple[RuleTrajectory, ...], frozen)
-            return list(stored)
-        if canonical.query_class == "Q2":
-            comparison = cast(ComparisonResult, frozen)
-            compare_query = cast(CompareQuery, query)
-            return replace(
-                comparison,
-                first=compare_query.first,
-                second=compare_query.second,
-            )
-        if canonical.query_class == "Q3":
-            recommendation = cast(Recommendation, frozen)
-            recommend_query = cast(RecommendQuery, query)
-            return replace(
-                recommendation,
-                setting=recommend_query.setting,
-                neighbors=dict(recommendation.neighbors),
-            )
-        if canonical.query_class == "Q5":
-            pairs = cast(Tuple[Tuple[int, Tuple[RuleId, ...]], ...], frozen)
-            return {window: list(ids) for window, ids in pairs}
-        return cast(RollupAnswer, frozen)

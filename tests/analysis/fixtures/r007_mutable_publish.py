@@ -4,11 +4,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 
-class RegionKeyedCache:
-    def put(self, key, value, epoch):
-        return 0
-
-
 class ResponseCache:
     def put(self, key, value, epoch):
         return 0
@@ -25,7 +20,7 @@ class Answer:
 
 class Service:
     def __init__(self) -> None:
-        self._cache = RegionKeyedCache()
+        self._cache = ResponseCache()
 
     def store(self, key, rows) -> None:
         value = [tuple(row) for row in rows]

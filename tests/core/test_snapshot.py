@@ -70,22 +70,6 @@ class TestPinLifecycle:
 
 
 class TestRetirement:
-    def test_segment_dies_with_the_snapshot(self, publisher, small_windows):
-        snapshot = publisher.current
-        snapshot.store((1, 2, 3), "answer")
-        assert snapshot.cached((1, 2, 3)).value == "answer"
-        assert snapshot.segment_info() == (1, 0)
-        publisher.publish([small_windows.window(2)])
-        assert snapshot.retired
-        assert snapshot.cached((1, 2, 3)) is None
-        assert snapshot.segment_info() == (0, 0)
-
-    def test_store_after_retire_is_dropped(self, publisher, small_windows):
-        snapshot = publisher.current
-        publisher.publish([small_windows.window(2)])
-        assert snapshot.store((1, 2, 3), "late answer") == 0
-        assert snapshot.cached((1, 2, 3)) is None
-
     def test_reader_pin_defers_retirement(self, publisher, small_windows):
         handle = publisher.snapshot()
         superseded = handle.snapshot
@@ -121,8 +105,8 @@ class TestRetirement:
         assert superseded.retired
         assert superseded.retire_count == 1
 
-    def test_retirement_callback_reports_dropped_entries(self, small_windows):
-        dropped = []
+    def test_retirement_callback_fires_exactly_once(self, small_windows):
+        retirements = []
         kb = build_knowledge_base(
             WindowedDatabase.partition_by_count(
                 TransactionDatabase.from_itemlists(
@@ -132,12 +116,16 @@ class TestRetirement:
             ),
             CONFIG,
         )
-        snapshot = Snapshot(2, kb, on_retire=dropped.append)
+        snapshot = Snapshot(2, kb, on_retire=lambda: retirements.append(1))
         snapshot.pin()
-        snapshot.store((1,), "a")
-        snapshot.store((2,), "b")
+        snapshot.pin()
         snapshot.release()
-        assert dropped == [2]
+        assert retirements == []
+        snapshot.release()
+        assert retirements == [1]
+        with pytest.raises(RetiredSnapshotError, match="without a pin"):
+            snapshot.release()
+        assert retirements == [1]
 
 
 class TestViewIsolation:

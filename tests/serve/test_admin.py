@@ -11,6 +11,7 @@ has completed inside it.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 
 from repro.core import (
@@ -22,7 +23,8 @@ from repro.core import (
     RecommendQuery,
     TrajectoryQuery,
 )
-from repro.serve.protocol import encode_answer
+from repro.serve.gateway import QueryGateway
+from repro.serve.protocol import encode_answer, encode_batches, encode_request
 from repro.service import TaraService
 
 from tests.serve.client import ServeClient
@@ -315,3 +317,105 @@ class TestSnapshotRoute:
         assert snapshot["building"] is False
         assert snapshot["retired_snapshots"] == 0
         assert snapshot["refs"] >= 1
+
+
+#: Every ``/metrics`` path the repository benchmark reads.  It indexes
+#: some of them directly and reads a missing one as 0, so a renamed or
+#: dropped counter either crashes every run or silently zeroes a metric.
+METRICS_PATHS = (
+    *(
+        f"metrics.endpoints.query/{kind}.latency.{field}"
+        for kind in ("trajectory", "compare", "recommend", "content")
+        for field in ("count", "total_seconds")
+    ),
+    *(
+        f"metrics.respcache.{name}"
+        for name in (
+            "hits",
+            "misses",
+            "evictions",
+            "purged_entries",
+            "gzip_variants",
+            "bytes_served",
+        )
+    ),
+    "metrics.coalesce.hits",
+    "metrics.coalesce.executions",
+    *(
+        f"service.classes.{query_class}.{name}"
+        for query_class in ("Q1", "Q2", "Q3", "Q5")
+        for name in (
+            "hits",
+            "misses",
+            "hit_latency.count",
+            "hit_latency.total_seconds",
+            "miss_latency.count",
+            "miss_latency.total_seconds",
+        )
+    ),
+    "service.evictions",
+    "service.invalidations",
+)
+
+#: Every ``/v1/snapshot`` path the repository benchmark reads.
+SNAPSHOT_PATHS = (
+    "snapshot.retired_snapshots",
+    "snapshot.retired_entries",
+    "snapshot.refs",
+)
+
+
+def _dig(document, path):
+    node = document
+    for key in path.split("."):
+        assert isinstance(node, dict) and key in node, path
+        node = node[key]
+    assert isinstance(node, (int, float)) and not isinstance(node, bool), path
+    return node
+
+
+class TestBenchmarkedPaths:
+    def test_metrics_and_snapshot_paths_are_present_and_numeric(
+        self, small_windows
+    ):
+        async def scenario():
+            service = TaraService(_publisher(small_windows, config=INDEXED))
+            gateway = QueryGateway(service, pool_size=1)
+            try:
+                for _, query in QUERIES:
+                    kind, payload = encode_request(query)
+                    response = await gateway.dispatch_wire(
+                        "POST",
+                        f"/v1/query/{kind}",
+                        json.dumps(payload).encode("utf-8"),
+                    )
+                    assert response.status == 200
+                append = json.dumps(
+                    encode_batches([small_windows.window(2)])
+                ).encode("utf-8")
+                response = await gateway.dispatch_wire(
+                    "POST", "/v1/admin/append", append
+                )
+                assert response.status == 200
+                _, metrics = await gateway.dispatch("GET", "/metrics", b"")
+                _, snapshot = await gateway.dispatch("GET", "/v1/snapshot", b"")
+            finally:
+                gateway.aclose()
+            return metrics, snapshot
+
+        metrics, snapshot = asyncio.run(scenario())
+        for path in METRICS_PATHS:
+            _dig(metrics, path)
+        for path in SNAPSHOT_PATHS:
+            _dig(snapshot, path)
+        # The service keeps no answers: its hit and retirement counters
+        # keep their paths and read 0.
+        for query_class in ("Q1", "Q2", "Q3", "Q5"):
+            stats = f"service.classes.{query_class}"
+            assert _dig(metrics, f"{stats}.hits") == 0
+            assert _dig(metrics, f"{stats}.hit_latency.count") == 0
+            assert _dig(metrics, f"{stats}.misses") == 1
+        assert _dig(metrics, "service.evictions") == 0
+        assert _dig(metrics, "service.invalidations") == 0
+        assert _dig(snapshot, "snapshot.retired_entries") == 0
+        assert _dig(snapshot, "snapshot.retired_snapshots") >= 1

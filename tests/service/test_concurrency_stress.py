@@ -90,7 +90,6 @@ class TestQueriesRacingPublishes:
         assert not errors
         # Every publish installed its snapshot: epochs ended in sync.
         assert service.epoch == incremental.window_count
-        assert service.cache_info()["epoch"] == incremental.window_count
 
 
 class TestPinReleaseStorm:

@@ -35,28 +35,29 @@ class TestLatencyHistogram:
 class TestServiceMetrics:
     def test_hits_misses_and_histograms_reconcile(self):
         metrics = ServiceMetrics()
-        metrics.observe("Q1", hit=False, seconds=0.01)
-        metrics.observe("Q1", hit=True, seconds=0.0001)
-        metrics.observe("Q1", hit=True, seconds=0.0002)
-        metrics.observe("Q3", hit=False, seconds=0.002)
+        metrics.observe("Q1", seconds=0.01)
+        metrics.observe("Q1", seconds=0.0001)
+        metrics.observe("Q1", seconds=0.0002)
+        metrics.observe("Q3", seconds=0.002)
         assert metrics.requests("Q1") == 3
-        assert metrics.hits["Q1"] == 2 and metrics.misses["Q1"] == 1
-        assert metrics.hit_latency["Q1"].count == 2
-        assert metrics.miss_latency["Q1"].count == 1
+        assert metrics.misses["Q1"] == 3
+        assert metrics.miss_latency["Q1"].count == 3
+        q1 = metrics.as_dict()["classes"]["Q1"]
+        assert q1["hits"] == 0 and q1["hit_latency"]["count"] == 0
         assert metrics.requests("Q3") == 1
         assert metrics.requests("Q5") == 0
 
     def test_eviction_and_invalidation_counters(self):
+        # The service keeps no answers: nothing is evicted or invalidated.
         metrics = ServiceMetrics()
-        metrics.record_evictions(2)
-        metrics.record_evictions(1)
-        metrics.record_invalidations(5)
-        assert metrics.evictions == 3
-        assert metrics.invalidations == 5
+        metrics.observe("Q1", seconds=0.01)
+        snapshot = metrics.as_dict()
+        assert snapshot["evictions"] == 0
+        assert snapshot["invalidations"] == 0
 
     def test_as_dict_shape(self):
         metrics = ServiceMetrics()
-        metrics.observe("Q2", hit=False, seconds=0.5)
+        metrics.observe("Q2", seconds=0.5)
         snapshot = metrics.as_dict()
         assert snapshot["evictions"] == 0
         q2 = snapshot["classes"]["Q2"]
